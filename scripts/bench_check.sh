@@ -45,15 +45,6 @@
 # symbolic results are not value-identical to cold ones. Within-run ratio,
 # machine-relative.
 #
-# Gate 1g (bench_scaling --intra): on one large multi-SCC constraint graph
-# (~50k nodes, hundreds of cyclic components), the SCC-partitioned MCRP
-# solve with per-component farming over min(8, cores) pool workers must
-# beat the sequential decomposed solve of the SAME run by at least
-# 0.4·min(8, cores, #SCCs) when cores >= 2 — and must not fall below 0.5x
-# of the sequential figure on a 1-core box (farm overhead guard). The bench
-# itself exits non-zero if the farmed result is not bit-identical to the
-# sequential one. Within-run ratio, machine-relative.
-#
 # Gate 2 (bench_batch): fails if analyze_batch results differ across thread
 # counts or across cache on/off (the bench itself exits non-zero), or if
 # the parallel efficiency measured within the run falls below the floor for
@@ -80,10 +71,9 @@ bench_bin="$build_dir/bench_hotpath"
 batch_bin="$build_dir/bench_batch"
 dse_bin="$build_dir/bench_dse"
 scenario_bin="$build_dir/bench_scenario"
-scaling_bin="$build_dir/bench_scaling"
 
-if [[ ! -x "$bench_bin" || ! -x "$batch_bin" || ! -x "$dse_bin" || ! -x "$scenario_bin" || ! -x "$scaling_bin" ]]; then
-  echo "bench_check: $bench_bin / $batch_bin / $dse_bin / $scenario_bin / $scaling_bin not found — build first (cmake -B build && cmake --build build)" >&2
+if [[ ! -x "$bench_bin" || ! -x "$batch_bin" || ! -x "$dse_bin" || ! -x "$scenario_bin" ]]; then
+  echo "bench_check: $bench_bin / $batch_bin / $dse_bin / $scenario_bin not found — build first (cmake -B build && cmake --build build)" >&2
   exit 2
 fi
 if [[ ! -f "$baseline" ]]; then
@@ -360,55 +350,6 @@ if failures:
         print(f"  {f}", file=sys.stderr)
     sys.exit(1)
 print("bench_check passed: warm scenario analysis beats cold per-state composition")
-EOF
-
-# ---- gate 1g: intra-graph SCC farming (within-run) -------------------------
-# bench_scaling --intra merges its "intra_graph" section into the fresh JSON
-# and exits non-zero itself when the farmed solve is not bit-identical to
-# the sequential decomposed one.
-"$scaling_bin" --intra "$fresh"
-
-python3 - "$fresh" <<'EOF'
-import json
-import sys
-
-with open(sys.argv[1]) as f:
-    run = json.load(f)
-
-case = run.get("intra_graph")
-if not case:
-    print(
-        "bench_check FAILED: no 'intra_graph' section in fresh bench run "
-        "(old bench_scaling?)",
-        file=sys.stderr,
-    )
-    sys.exit(1)
-
-cores = case["hardware_cores"]
-speedup = case["seq_ms"] / max(case["par_ms"], 1e-9)
-if cores >= 2:
-    # Machine-relative efficiency floor: the farm runs min(8, cores, #SCCs)
-    # workers (counting the owner), and must reach 0.4x of that ideal.
-    required = 0.4 * min(8, cores, case["sccs"])
-else:
-    # Single-core box: farming cannot help; only guard that the farmed path
-    # does not collapse under its own handoff overhead.
-    required = 0.5
-
-marker = "FAIL" if speedup < required else "ok"
-print(
-    f"intra: {case['nodes']}-node constraint graph, {case['sccs']} SCCs, "
-    f"{case['workers']} worker(s) on {cores} core(s): seq {case['seq_ms']:.3f} ms -> "
-    f"par {case['par_ms']:.3f} ms (speedup {speedup:.2f}x, required >= {required:.2f}x) {marker}"
-)
-if speedup < required:
-    print(
-        f"bench_check FAILED: intra-graph speedup {speedup:.2f}x below the "
-        f"{required:.2f}x floor for this machine",
-        file=sys.stderr,
-    )
-    sys.exit(1)
-print("bench_check passed: intra-graph SCC farming above the machine-relative floor")
 EOF
 
 # ---- gate 2: batch serving path --------------------------------------------

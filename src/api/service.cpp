@@ -364,24 +364,6 @@ struct ThroughputService::VariantRun {
   u64 gen = 0;
 };
 
-/// One intra-graph farm-out in flight: a nested batch of independent
-/// indexed tasks (the per-SCC MCRP sub-solves of one constraint graph)
-/// shared between the owning worker and any idle pool workers. Claiming is
-/// a single atomic counter — each index runs exactly once, on whichever
-/// thread grabs it first — and the owner claims until the counter is
-/// exhausted before waiting, so the group always completes even if no
-/// helper ever arrives (shutdown-safe and deadlock-free by construction:
-/// nobody waits on work that is not already running to completion).
-struct ThroughputService::SubtaskGroup {
-  void (*fn)(void*, std::int32_t) = nullptr;
-  void* ctx = nullptr;
-  std::int32_t n = 0;
-  std::atomic<std::int32_t> next{0};
-  std::mutex mu;
-  std::condition_variable cv;
-  std::int32_t done = 0;  // guarded by mu
-};
-
 /// Completion rendezvous for one blocking batch dispatch, living on the
 /// dispatcher's stack: workers decrement `remaining` as jobs finish and the
 /// last one notifies. A per-batch countdown instead of the old global
@@ -395,10 +377,8 @@ struct ThroughputService::BatchSync {
 
 /// One work-queue shard: an independently-locked deque. The owning worker
 /// pops the BACK (LIFO — the freshest job's graph is the one most likely
-/// still warm in cache) unless a front-of-queue subtask marker is waiting;
-/// thieves and markers use the FRONT (steals take the oldest job, markers
-/// preempt). depth_high_water is written under mu, read lock-free by
-/// stats().
+/// still warm in cache); thieves take the FRONT (the oldest job).
+/// depth_high_water is written under mu, read lock-free by stats().
 struct ThroughputService::Shard {
   std::mutex mu;
   std::deque<std::shared_ptr<Job>> jobs;
@@ -407,15 +387,12 @@ struct ThroughputService::Shard {
 
 /// One enqueued request. Batch jobs reference the caller's span (valid for
 /// the whole blocking analyze_batch call); submitted jobs own theirs;
-/// variant jobs name a (run, delta index) pair instead of carrying a graph;
-/// helper-marker jobs carry a SubtaskGroup and nothing else (one marker =
-/// one invitation for an idle worker to join that group).
+/// variant jobs name a (run, delta index) pair instead of carrying a graph.
 struct ThroughputService::Job {
   const AnalysisRequest* request = nullptr;
   AnalysisRequest owned;
   const VariantRun* variant = nullptr;
   std::size_t variant_index = 0;
-  std::shared_ptr<SubtaskGroup> group;
   i64 id = -1;
   Stopwatch queued;
   Analysis result;
@@ -426,6 +403,10 @@ struct ThroughputService::Job {
   // never poison the cache).
   bool cacheable = false;
   ContentKey key;
+
+  // Twins parked on this job's solve while it owns its key's in-flight
+  // entry (guarded by flight_mu_); completed by land_flight.
+  std::vector<std::shared_ptr<Job>> twins;
 
   // Completion plumbing: exactly one of these is used. Batch jobs count
   // down their dispatcher's BatchSync; ticketed (submit/wait) jobs flip
@@ -453,19 +434,6 @@ ThroughputService::ThroughputService(ServiceOptions options)
   // mode and analyze()); index n is the caller's.
   workers_.reserve(static_cast<std::size_t>(n) + 1);
   for (int i = 0; i <= n; ++i) workers_.push_back(std::make_unique<Worker>());
-  // Resolve the intra-graph cap against the actual pool: with no pool
-  // threads every solve runs the sequential decomposed path inline, so a
-  // cap above 1 buys nothing but still flips every KIter solve onto the
-  // partitioned solver (the point in inline mode: same results as the
-  // threaded service, testable single-threaded).
-  if (options.intra_graph_threads != 0) {
-    intra_limit_ = options.intra_graph_threads < 0
-                       ? std::max(1, n)
-                       : std::min(options.intra_graph_threads, std::max(1, n));
-    for (const std::unique_ptr<Worker>& w : workers_) {
-      w->workspace.intra = &intra_executor_;
-    }
-  }
   // Default: one shard per worker, so an uncontended pool never shares a
   // queue lock. More shards than workers is legal (served by stealing).
   const int m = options.queue_shards > 0 ? options.queue_shards : std::max(1, n);
@@ -495,11 +463,9 @@ ThroughputService::~ThroughputService() {
   for (std::thread& t : threads_) t.join();
   // Requests still queued at shutdown complete as Budget so pending wait()
   // calls (which must finish before destruction returns control to the
-  // caller) observe a well-formed result. Helper markers are invitations,
-  // not requests: the owning worker always finishes its own group, so a
-  // dropped marker needs no result.
+  // caller) observe a well-formed result. Parked twins are not orphans:
+  // their owner was running, and the joins above let it land them.
   for (const std::shared_ptr<Job>& job : orphans) {
-    if (job->group != nullptr) continue;
     job->result.method = job->method();
     job->result.outcome = Outcome::Budget;
     job->result.detail = "service shut down before execution";
@@ -527,15 +493,11 @@ ServiceStats ThroughputService::stats() const {
   return s;
 }
 
-void ThroughputService::enqueue(std::shared_ptr<Job> job, std::size_t shard, bool front) {
+void ThroughputService::enqueue(std::shared_ptr<Job> job, std::size_t shard) {
   Shard& s = *shards_[shard % shards_.size()];
   {
     std::lock_guard<std::mutex> lk(s.mu);
-    if (front) {
-      s.jobs.push_front(std::move(job));
-    } else {
-      s.jobs.push_back(std::move(job));
-    }
+    s.jobs.push_back(std::move(job));
     const u64 depth = s.jobs.size();
     if (depth > s.depth_high_water.load(std::memory_order_relaxed)) {
       s.depth_high_water.store(depth, std::memory_order_relaxed);
@@ -565,23 +527,14 @@ std::shared_ptr<ThroughputService::Job> ThroughputService::take_job(std::size_t 
     Shard& s = *shards_[own_shard];
     std::lock_guard<std::mutex> lk(s.mu);
     if (!s.jobs.empty()) {
-      std::shared_ptr<Job> job;
-      if (s.jobs.front()->group != nullptr) {
-        // A subtask marker waits at the front: nested work inside a job
-        // some worker already owns beats starting anything new.
-        job = std::move(s.jobs.front());
-        s.jobs.pop_front();
-      } else {
-        job = std::move(s.jobs.back());  // LIFO: freshest first
-        s.jobs.pop_back();
-      }
+      std::shared_ptr<Job> job = std::move(s.jobs.back());  // LIFO: freshest first
+      s.jobs.pop_back();
       pending_.fetch_sub(1, std::memory_order_relaxed);
       return job;
     }
   }
   // Own shard dry: steal the OLDEST entry of another shard (FIFO keeps a
-  // steal from fighting the owner over its freshest work, and drains
-  // markers first since markers live at the front).
+  // steal from fighting the owner over its freshest work).
   for (std::size_t i = 1; i < m; ++i) {
     Shard& s = *shards_[(own_shard + i) % m];
     std::lock_guard<std::mutex> lk(s.mu);
@@ -608,15 +561,9 @@ void ThroughputService::worker_loop(int worker_id) {
       });
       continue;
     }
-    if (job->group != nullptr) {
-      // Helper marker: join the nested group until its counter is
-      // exhausted, then go back to the queue. No completion bookkeeping —
-      // nobody waits on the marker itself.
-      help(*job->group);
-      continue;
-    }
-    run_job(*job, worker_id);
-    complete_job(job);
+    // A twin parked on an in-flight solve is completed by that solve's
+    // owner; this worker just moves on.
+    if (run_job(job, worker_id)) complete_job(job);
   }
 }
 
@@ -656,9 +603,66 @@ bool ThroughputService::try_dispatch_hit(Job& job) {
   return true;
 }
 
-void ThroughputService::run_job(Job& job, int worker_id) {
+ThroughputService::Claim ThroughputService::claim_solve(const std::shared_ptr<Job>& job,
+                                                        double queue_ms) {
+  const auto late_hit = [&] {
+    std::optional<Analysis> hit = cache_.find(job->key);
+    if (!hit) return false;
+    job->result = std::move(*hit);
+    cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  };
+  // Most duplicates are plain late hits: serve them without the table lock.
+  if (late_hit()) return Claim::Hit;
+  std::lock_guard<std::mutex> lk(flight_mu_);
+  const auto [lo, hi] = in_flight_.equal_range(job->key.digest);
+  for (auto it = lo; it != hi; ++it) {
+    if (it->second->key == job->key) {
+      // Stamped before parking: once on the owner's list, the twin belongs
+      // to the owner's thread.
+      job->result.queue_ms = queue_ms;
+      it->second->twins.push_back(job);
+      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return Claim::Joined;
+    }
+  }
+  // Re-checked under flight_mu_: an owner inserts into the cache BEFORE it
+  // drops its entry, so a key missing from the table here is either in the
+  // cache by now or not being solved by anyone.
+  if (late_hit()) return Claim::Hit;
+  in_flight_.emplace(job->key.digest, job.get());
+  cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  return Claim::Owner;
+}
+
+void ThroughputService::land_flight(Job& owner) {
+  std::vector<std::shared_ptr<Job>> twins;
+  {
+    std::lock_guard<std::mutex> lk(flight_mu_);
+    const auto [lo, hi] = in_flight_.equal_range(owner.key.digest);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == &owner) {
+        in_flight_.erase(it);
+        break;
+      }
+    }
+    twins.swap(owner.twins);
+  }
+  for (const std::shared_ptr<Job>& twin : twins) {
+    const double queue_ms = twin->result.queue_ms;
+    twin->result = owner.result;
+    twin->result.request_id = twin->id;
+    twin->result.queue_ms = queue_ms;
+    twin->error = owner.error;
+    complete_job(twin);
+  }
+}
+
+bool ThroughputService::run_job(const std::shared_ptr<Job>& job_ptr, int worker_id) {
+  Job& job = *job_ptr;
   const double queue_ms = job.queued.elapsed_ms();
   queue_hist_.record_ms(queue_ms);
+  bool owner = false;
   try {
     Worker& worker = *workers_[static_cast<std::size_t>(worker_id)];
     if (job.variant != nullptr) {
@@ -666,27 +670,22 @@ void ThroughputService::run_job(Job& job, int worker_id) {
       solve_hist_.record_ms(job.result.elapsed_ms);
       executed_.fetch_add(1, std::memory_order_relaxed);
     } else {
-      bool served = false;
-      if (job.cacheable) {
-        // Late hit: an identical request completed (or was already cached)
-        // while this one sat in a queue. This is where duplicate-heavy
-        // batches win — the first copy solves, every sibling replays.
-        if (std::optional<Analysis> hit = cache_.find(job.key)) {
-          cache_hits_.fetch_add(1, std::memory_order_relaxed);
-          job.result = std::move(*hit);
-          served = true;
-        }
-      }
-      if (!served) {
+      // A cacheable request claims its key first. A late hit (an identical
+      // request completed while this one sat in a queue) or a join (a twin
+      // is being solved right now) skips the solve — this is where
+      // duplicate-heavy batches win.
+      const Claim claim = job.cacheable ? claim_solve(job_ptr, queue_ms) : Claim::Owner;
+      if (claim == Claim::Joined) return false;
+      if (claim == Claim::Owner) {
+        owner = job.cacheable;
         const AnalysisRequest& req = job.req();
         job.result = execute_request(req.graph, req.method, req.options, req.deadline_ms,
                                      req.cancel, worker.workspace);
         solve_hist_.record_ms(job.result.elapsed_ms);
         executed_.fetch_add(1, std::memory_order_relaxed);
-        if (job.cacheable) {
+        if (owner) {
           // Cacheable implies deterministic, so every outcome — Value,
           // Deadlock, Unbounded, structural Budget — is worth memoizing.
-          cache_misses_.fetch_add(1, std::memory_order_relaxed);
           Analysis stored = job.result;
           stored.request_id = -1;
           stored.queue_ms = 0.0;
@@ -701,77 +700,8 @@ void ThroughputService::run_job(Job& job, int worker_id) {
   job.result.request_id = job.id;
   job.result.worker_id = worker_id;
   job.result.queue_ms = queue_ms;
-}
-
-void ThroughputService::help(SubtaskGroup& group) {
-  // Claim-until-exhausted: each fetch_add hands out one index exactly once,
-  // whichever thread gets there first. The group is complete when every
-  // CLAIMED index has also FINISHED (`done`), not merely been handed out —
-  // the owner may observe next >= n while a helper is still inside fn.
-  for (;;) {
-    const std::int32_t i = group.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= group.n) return;
-    group.fn(group.ctx, i);
-    std::int32_t done;
-    {
-      std::lock_guard<std::mutex> lk(group.mu);
-      done = ++group.done;
-    }
-    if (done == group.n) group.cv.notify_all();
-  }
-}
-
-void ThroughputService::run_subtasks(std::int32_t n, void (*fn)(void*, std::int32_t),
-                                     void* ctx) {
-  // Helpers beyond the pool are impossible (no thread is ever spawned
-  // here), beyond the cap are disallowed, and beyond n - 1 are useless
-  // (the owner is already one of the n claimants).
-  int helpers = std::min(static_cast<int>(threads_.size()), intra_limit_ - 1);
-  helpers = std::min(helpers, n - 1);
-  if (helpers <= 0 || n <= 1) {
-    for (std::int32_t i = 0; i < n; ++i) fn(ctx, i);
-    return;
-  }
-  auto group = std::make_shared<SubtaskGroup>();
-  group->fn = fn;
-  group->ctx = ctx;
-  group->n = n;
-  if (!stopping_.load(std::memory_order_relaxed)) {
-    // Markers go to the FRONT of consecutive shards: nested work is the
-    // inside of a job some worker already owns, so finishing it beats
-    // starting fresh jobs — and a helper that pops one returns to the
-    // queue as soon as the counter runs dry, so batch jobs are delayed,
-    // never starved. A marker stranded by a concurrent shutdown is
-    // harmless: the owner below never depends on helpers, and exiting
-    // workers drain leftovers before parking.
-    const std::size_t m = shards_.size();
-    const u64 base =
-        next_shard_rr_.fetch_add(static_cast<u64>(helpers), std::memory_order_relaxed);
-    for (int i = 0; i < helpers; ++i) {
-      auto marker = std::make_shared<Job>();
-      marker->group = group;
-      enqueue(std::move(marker), static_cast<std::size_t>((base + static_cast<u64>(i)) % m),
-              /*front=*/true);
-    }
-    wake_workers(true);
-  }
-  // The owner claims like any helper; by the time help() returns every
-  // index has been claimed, so the wait below is only for helpers still
-  // finishing their last claimed index (usually zero wait).
-  help(*group);
-  std::unique_lock<std::mutex> lk(group->mu);
-  group->cv.wait(lk, [&] { return group->done == group->n; });
-}
-
-void ThroughputService::IntraExecutor::run_indexed(std::int32_t n,
-                                                   void (*fn)(void*, std::int32_t),
-                                                   void* ctx) {
-  service_->run_subtasks(n, fn, ctx);
-}
-
-int ThroughputService::IntraExecutor::concurrency() const noexcept {
-  const int pool = std::max(1, static_cast<int>(service_->threads_.size()));
-  return std::max(1, std::min(service_->intra_limit_, pool));
+  if (owner) land_flight(job);
+  return true;
 }
 
 Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index,
@@ -899,8 +829,10 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
   if (inline_mode()) {
     Worker& caller = *workers_.back();
     std::lock_guard<std::mutex> wk(caller.in_use);
+    // Never parks: every request runs to completion on this thread, so no
+    // other solve can be in flight when one of these claims its key.
     for (const std::shared_ptr<Job>& job : jobs) {
-      run_job(*job, static_cast<int>(workers_.size()) - 1);
+      (void)run_job(job, static_cast<int>(workers_.size()) - 1);
     }
   } else {
     // Dispatch-time cache pass: hits bypass the queues entirely, so a
@@ -924,7 +856,7 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
         for (const std::shared_ptr<Job>& job : jobs) {
           if (job->served_at_dispatch) continue;
           job->sync = &sync;
-          enqueue(job, static_cast<std::size_t>(rr++ % shards_.size()), /*front=*/false);
+          enqueue(job, static_cast<std::size_t>(rr++ % shards_.size()));
         }
       }
       wake_workers(true);
@@ -1050,7 +982,7 @@ i64 ThroughputService::submit(AnalysisRequest request) {
               : static_cast<std::size_t>(
                     next_shard_rr_.fetch_add(1, std::memory_order_relaxed)) %
                     shards_.size();
-      enqueue(job, shard, /*front=*/false);
+      enqueue(job, shard);
     }
   }
   if (hit) {
@@ -1059,7 +991,7 @@ i64 ThroughputService::submit(AnalysisRequest request) {
   } else if (inline_mode()) {
     Worker& caller = *workers_.back();
     std::lock_guard<std::mutex> wk(caller.in_use);
-    run_job(*job, static_cast<int>(workers_.size()) - 1);
+    (void)run_job(job, static_cast<int>(workers_.size()) - 1);
     complete_job(job);
   } else {
     wake_workers(false);

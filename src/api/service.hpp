@@ -39,7 +39,15 @@
 // found at dispatch bypasses the queue entirely; a duplicate that was
 // already queued when its twin completed is served by a second lookup on
 // the worker (a "late hit" — the solve is skipped, which is where the
-// money is). Requests that race wall-clock or carry cancellation hooks
+// money is). Solves are single-flight: the first worker to miss on a key
+// registers it in an in-flight table (same exact-compare ContentKey) and
+// owns the solve; a twin dequeued while that solve runs parks on the entry
+// and its worker goes straight back to the queue. The owner inserts the
+// result into the cache, then removes the entry and completes every parked
+// twin with a copy of the result (or the same exception), so each distinct
+// request is solved once however many workers race on it. analyze() is the
+// exception: it runs on the caller's thread and never joins a pool solve.
+// Requests that race wall-clock or carry cancellation hooks
 // (deadline_ms >= 0, a cancellable token, a poll hook, a time budget) are
 // NEVER cached — their outcome is not a pure function of content — and
 // variant-batch/scenario analyses keep using the cross-variant constraint
@@ -50,12 +58,7 @@
 // first — the producer just touched that memory), batch dispatch deals
 // jobs round-robin and submit() routes by content hash, and a worker whose
 // shard runs dry STEALS the oldest job of another shard (FIFO steal), so
-// one slow Deadlock-bound request serializes nothing but itself. The
-// intra-graph subtask markers of ServiceOptions::intra_graph_threads ride
-// the same shards at front-of-queue priority: idle workers steal markers
-// like any other job, and the owner still claims every index itself, so
-// completion never depends on a helper arriving (deadlock-free even with
-// one worker and many shards).
+// one slow Deadlock-bound request serializes nothing but itself.
 //
 // Every moving part is observable: stats() snapshots cache hit/miss/
 // eviction counters, steal counts, per-shard queue-depth high-water marks
@@ -96,7 +99,6 @@
 #include "util/hash.hpp"
 #include "util/histogram.hpp"
 #include "util/lru_cache.hpp"
-#include "util/parallel.hpp"
 
 namespace kp {
 
@@ -153,29 +155,12 @@ struct ServiceOptions {
   /// workspace. < 0 = one worker per available hardware thread.
   int threads = -1;
 
-  /// Intra-graph parallelism (0 = off, the default). When non-zero, every
-  /// KIter analysis solves its constraint graph's MCRP SCC-decomposed
-  /// (mcrp/cycle_ratio.hpp): the per-SCC sub-solves of ONE graph are farmed
-  /// across the SAME worker pool through a nested task API — an idle worker
-  /// picks up another worker's components, the owning worker claims
-  /// whatever nobody takes, and no thread beyond `threads` ever exists, so
-  /// batch-level and intra-graph work share the pool without
-  /// oversubscription. The value caps how many workers (counting the owner)
-  /// one solve may use; < 0 = the whole pool. Results follow the
-  /// partitioned determinism contract: bit-identical at any `threads` AND
-  /// any `intra_graph_threads` (including inline mode, where the solve
-  /// degrades to the sequential decomposed oracle), but the reported
-  /// co-critical circuit may differ from the whole-graph solver's — which
-  /// is why this is opt-in rather than always-on.
-  int intra_graph_threads = 0;
-
   /// Work-queue shards. Each worker owns shard (worker_id mod shards),
-  /// pops its own shard LIFO (front-of-queue subtask markers first), and
-  /// steals the OLDEST job of another shard when its own runs dry. <= 0 =
-  /// one shard per worker, the default; more shards than workers is legal
-  /// (the extra shards are served purely by stealing — useful for tests
-  /// and for keeping submit()'s content-hash placement stable while the
-  /// pool is resized).
+  /// pops its own shard LIFO, and steals the OLDEST job of another shard
+  /// when its own runs dry. <= 0 = one shard per worker, the default; more
+  /// shards than workers is legal (the extra shards are served purely by
+  /// stealing — useful for tests and for keeping submit()'s content-hash
+  /// placement stable while the pool is resized).
   int queue_shards = 0;
 
   /// Entries the content-addressed result cache may hold; 0 disables
@@ -191,10 +176,12 @@ struct ServiceOptions {
 /// readable at any moment without stopping the pool (stats() reads relaxed
 /// atomics only; numbers lag in-flight work by at most one increment).
 struct ServiceStats {
-  // Content-addressed result cache. hits counts dispatch bypasses AND
-  // late hits on a worker; hits + misses = cacheable requests completed.
-  // Uncacheable requests (deadlines, cancel tokens, poll hooks, variant
-  // batches) touch none of these.
+  // Content-addressed result cache. misses counts solves a request owned;
+  // hits counts every cacheable request that did not solve: dispatch
+  // bypasses, late hits on a worker, and twins that joined an in-flight
+  // solve of the same key. hits + misses = cacheable requests served, at
+  // any thread count. Uncacheable requests (deadlines, cancel tokens, poll
+  // hooks, variant batches) touch none of these.
   u64 cache_hits = 0;
   u64 cache_misses = 0;
   u64 cache_evictions = 0;
@@ -202,7 +189,7 @@ struct ServiceStats {
   std::size_t cache_capacity = 0;  ///< 0 = cache disabled
 
   // Sharded-queue activity.
-  u64 steals = 0;         ///< jobs (or subtask markers) taken from a foreign shard
+  u64 steals = 0;         ///< jobs taken from a foreign shard
   u64 jobs_executed = 0;  ///< analyses actually solved (cache hits excluded)
   std::vector<u64> shard_depth_high_water;  ///< max queued jobs ever, per shard
 
@@ -374,23 +361,8 @@ class ThroughputService {
  private:
   struct Job;
   struct VariantRun;
-  struct SubtaskGroup;
   struct BatchSync;
   struct Shard;
-
-  /// The pool-backed ParallelExecutor installed on every worker workspace
-  /// when intra_graph_threads is enabled. run_indexed publishes helper
-  /// markers to the service queue and claims indices on the calling thread
-  /// until exhausted, so completion never depends on a helper arriving.
-  class IntraExecutor final : public ParallelExecutor {
-   public:
-    explicit IntraExecutor(ThroughputService* service) : service_(service) {}
-    void run_indexed(std::int32_t n, void (*fn)(void*, std::int32_t), void* ctx) override;
-    [[nodiscard]] int concurrency() const noexcept override;
-
-   private:
-    ThroughputService* service_;
-  };
 
   struct Worker {
     KIterWorkspace workspace;
@@ -412,13 +384,14 @@ class ThroughputService {
   };
 
   void worker_loop(int worker_id);
-  void run_job(Job& job, int worker_id);
-  void run_subtasks(std::int32_t n, void (*fn)(void*, std::int32_t), void* ctx);
-  static void help(SubtaskGroup& group);
+  [[nodiscard]] bool run_job(const std::shared_ptr<Job>& job, int worker_id);
   void prepare_cache_key(Job& job) const;
   [[nodiscard]] bool try_dispatch_hit(Job& job);
+  enum class Claim { Hit, Joined, Owner };
+  [[nodiscard]] Claim claim_solve(const std::shared_ptr<Job>& job, double queue_ms);
+  void land_flight(Job& owner);
   void complete_job(const std::shared_ptr<Job>& job);
-  void enqueue(std::shared_ptr<Job> job, std::size_t shard, bool front);
+  void enqueue(std::shared_ptr<Job> job, std::size_t shard);
   void wake_workers(bool all);
   [[nodiscard]] std::shared_ptr<Job> take_job(std::size_t own_shard);
   Analysis run_variant(const VariantRun& run, std::size_t index, Worker& worker);
@@ -429,8 +402,6 @@ class ThroughputService {
 
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
-  IntraExecutor intra_executor_{this};
-  int intra_limit_ = 0;  ///< resolved workers-per-solve cap; 0 = off
 
   // Sharded queues + sleep/wake protocol: shard deques are individually
   // locked; pending_ counts queued entries across all shards so an idle
@@ -453,6 +424,11 @@ class ThroughputService {
 
   // Serving-path observability + the result cache (see ServiceStats).
   StripedLruCache<Analysis> cache_;
+  // Single-flight table: key digest -> the job owning that key's solve
+  // (identity by exact key compare, like the cache). Each owner's parked
+  // twins live on the owner job; both are guarded by flight_mu_.
+  std::mutex flight_mu_;
+  std::unordered_multimap<u64, Job*> in_flight_;
   std::atomic<u64> cache_hits_{0};
   std::atomic<u64> cache_misses_{0};
   std::atomic<u64> steals_{0};

@@ -146,7 +146,68 @@ TEST(CycleRatio, CriticalCycleAchievesRatio) {
   }
 }
 
+/// Random bi-valued graph with exactly `sccs` non-trivial strongly
+/// connected components: rings of 1..5 nodes with random chords, chained by
+/// forward-only arcs. With `force_infeasible`, one node gets a zero-H
+/// positive-L self-loop (an unsatisfiable circuit).
+BivaluedGraph random_clustered_bivalued(Rng& rng, std::int32_t sccs, bool force_infeasible) {
+  std::vector<std::int32_t> first(static_cast<std::size_t>(sccs) + 1, 0);
+  std::int32_t total = 0;
+  for (std::int32_t c = 0; c < sccs; ++c) {
+    first[static_cast<std::size_t>(c)] = total;
+    total += static_cast<std::int32_t>(rng.uniform(1, 5));
+  }
+  first[static_cast<std::size_t>(sccs)] = total;
+  BivaluedGraph g(total);
+  const auto rnd_time = [&] { return Rational::of(rng.uniform(1, 6), rng.uniform(1, 4)); };
+  for (std::int32_t c = 0; c < sccs; ++c) {
+    const std::int32_t lo = first[static_cast<std::size_t>(c)];
+    const std::int32_t m = first[static_cast<std::size_t>(c) + 1] - lo;
+    if (m == 1) {
+      g.add_arc(lo, lo, rng.uniform(0, 12), rnd_time());
+      continue;
+    }
+    for (std::int32_t t = 0; t < m; ++t) {
+      g.add_arc(lo + t, lo + (t + 1) % m, rng.uniform(0, 12), rnd_time());
+    }
+    for (std::int32_t t = 0; t < m; ++t) {
+      if (rng.chance(1, 3)) {
+        g.add_arc(lo + t, lo + static_cast<std::int32_t>(rng.uniform(0, m - 1)),
+                  rng.uniform(0, 12), rnd_time());
+      }
+    }
+  }
+  for (std::int32_t c = 0; c + 1 < sccs; ++c) {
+    g.add_arc(first[static_cast<std::size_t>(c)], first[static_cast<std::size_t>(c) + 1],
+              rng.uniform(0, 12), rnd_time());
+  }
+  if (force_infeasible) {
+    const auto v = static_cast<std::int32_t>(rng.uniform(0, total - 1));
+    g.add_arc(v, v, 1 + rng.uniform(0, 5), Rational{0});
+  }
+  return g;
+}
+
+/// The reported circuit must realize the reported verdict: an Optimal
+/// non-zero ratio is the circuit's L/H, an Infeasible witness has H < 0 or
+/// H == 0 with L > 0.
+void expect_cycle_certifies(const BivaluedGraph& g, const McrpResult& r) {
+  if (r.status == McrpStatus::Optimal && !r.ratio.is_zero()) {
+    ASSERT_FALSE(r.critical_cycle.empty());
+    const Rational h = g.cycle_time(r.critical_cycle);
+    ASSERT_FALSE(h.is_zero());
+    EXPECT_EQ(Rational(i128{g.cycle_cost(r.critical_cycle)}, i128{1}) / h, r.ratio);
+  } else if (r.status == McrpStatus::Infeasible) {
+    ASSERT_FALSE(r.critical_cycle.empty());
+    const Rational h = g.cycle_time(r.critical_cycle);
+    const i64 l = g.cycle_cost(r.critical_cycle);
+    EXPECT_TRUE(h < Rational{0} || (h.is_zero() && l > 0));
+  }
+}
+
 TEST(CycleRatio, ExactModeMatchesAccelerated) {
+  McrpOptions pure;
+  pure.accelerate_with_double = false;
   Rng rng(321);
   for (int round = 0; round < 10; ++round) {
     const auto n = static_cast<std::int32_t>(rng.uniform(4, 14));
@@ -156,13 +217,31 @@ TEST(CycleRatio, ExactModeMatchesAccelerated) {
                 static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(0, 20),
                 Rational(rng.uniform(1, 12), rng.uniform(1, 5)));
     }
-    McrpOptions pure;
-    pure.accelerate_with_double = false;
     const McrpResult fast = solve_max_cycle_ratio(g);
     const McrpResult slow = solve_max_cycle_ratio(g, pure);
     ASSERT_EQ(fast.status, slow.status);
     EXPECT_EQ(fast.ratio, slow.ratio);
   }
+  // Multi-SCC inputs spanning 2..64 components, some forced infeasible:
+  // the max must be taken across components, and a witness in any one
+  // component condemns the whole graph.
+  Rng multi(77);
+  int infeasible_seen = 0;
+  for (int round = 0; round < 110; ++round) {
+    const auto sccs = static_cast<std::int32_t>(multi.uniform(2, 64));
+    const bool force_infeasible = multi.chance(1, 8);
+    const BivaluedGraph g = random_clustered_bivalued(multi, sccs, force_infeasible);
+    infeasible_seen += force_infeasible;
+    const McrpResult fast = solve_max_cycle_ratio(g);
+    const McrpResult slow = solve_max_cycle_ratio(g, pure);
+    ASSERT_EQ(fast.status, slow.status) << "round " << round;
+    ASSERT_NE(fast.status, McrpStatus::NoCycle);
+    if (force_infeasible) EXPECT_EQ(fast.status, McrpStatus::Infeasible);
+    if (fast.status == McrpStatus::Optimal) EXPECT_EQ(fast.ratio, slow.ratio);
+    expect_cycle_certifies(g, fast);
+    expect_cycle_certifies(g, slow);
+  }
+  EXPECT_GT(infeasible_seen, 0);  // the sweep exercised the Infeasible path
 }
 
 TEST(Howard, SelfLoop) {

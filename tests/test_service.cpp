@@ -195,6 +195,18 @@ TEST(ThroughputService, ExceptionsPropagateFromWorkers) {
   const i64 ticket = service.submit(
       AnalysisRequest{.graph = figure2_graph(), .method = Method::Expansion});
   EXPECT_THROW((void)service.wait(ticket), ModelError);
+
+  // Identical throwing requests on a wider pool: twins that join the
+  // owner's in-flight solve must receive the owner's exception too.
+  ThroughputService wide(ServiceOptions{.threads = 4});
+  std::vector<i64> tickets;
+  for (int i = 0; i < 8; ++i) {
+    tickets.push_back(
+        wide.submit(AnalysisRequest{.graph = figure2_graph(), .method = Method::Expansion}));
+  }
+  for (const i64 t : tickets) EXPECT_THROW((void)wide.wait(t), ModelError);
+  const ServiceStats s = wide.stats();
+  EXPECT_EQ(s.cache_hits + s.cache_misses, tickets.size());
 }
 
 // ---- cancellation and deadlines ---------------------------------------------
