@@ -313,8 +313,12 @@ Analysis run_expansion(const CsdfGraph& g, const AnalysisOptions& options) {
 /// One request, start to finish, on the given workspace. This is the single
 /// execution path every service entry point funnels through — batch, async
 /// and inline analyses of the same request are therefore identical.
-Analysis execute_request(const CsdfGraph& graph, Method method, const AnalysisOptions& options,
-                         double deadline_ms, const CancelToken& cancel, KIterWorkspace& ws,
+/// `prepared` says the graph already is what the engines should see (its
+/// owner applied options.serialize_tasks, or the request does not ask for
+/// it); otherwise serialization works on a copy, leaving `graph` untouched.
+Analysis execute_request(const CsdfGraph& graph, bool prepared, Method method,
+                         const AnalysisOptions& options, double deadline_ms,
+                         const CancelToken& cancel, KIterWorkspace& ws,
                          std::vector<i64>* warm_k = nullptr, bool* warm_k_valid = nullptr) {
   Stopwatch clock;
   Analysis a;
@@ -330,21 +334,22 @@ Analysis execute_request(const CsdfGraph& graph, Method method, const AnalysisOp
     }
     return a;
   }
+  const bool copy = !prepared && options.serialize_tasks;
   CsdfGraph serialized;
-  if (options.serialize_tasks) serialized = add_serialization_buffers(graph);
-  const CsdfGraph& prepared = options.serialize_tasks ? serialized : graph;
+  if (copy) serialized = add_serialization_buffers(graph);
+  const CsdfGraph& g = copy ? serialized : graph;
   switch (method) {
     case Method::KIter:
-      a = run_kiter(prepared, options, deadline_ms, cancel, ws, warm_k, warm_k_valid);
+      a = run_kiter(g, options, deadline_ms, cancel, ws, warm_k, warm_k_valid);
       break;
     case Method::Periodic:
-      a = run_periodic(prepared, options);
+      a = run_periodic(g, options);
       break;
     case Method::SymbolicExecution:
-      a = run_symbolic(prepared, options, deadline_ms, cancel);
+      a = run_symbolic(g, options, deadline_ms, cancel);
       break;
     case Method::Expansion:
-      a = run_expansion(prepared, options);
+      a = run_expansion(g, options);
       break;
   }
   a.method = method;
@@ -679,8 +684,14 @@ bool ThroughputService::run_job(const std::shared_ptr<Job>& job_ptr, int worker_
       if (claim == Claim::Owner) {
         owner = job.cacheable;
         const AnalysisRequest& req = job.req();
-        job.result = execute_request(req.graph, req.method, req.options, req.deadline_ms,
-                                     req.cancel, worker.workspace);
+        // A submitted job owns its request, so its graph is serialized in
+        // place; a batch job's graph is the caller's and is serialized on a
+        // copy. Either way the cache key was taken from the unserialized
+        // content before the job was queued.
+        const bool in_place = job.request == nullptr && req.options.serialize_tasks;
+        if (in_place) serialize_tasks_in_place(job.owned.graph);
+        job.result = execute_request(req.graph, in_place, req.method, req.options,
+                                     req.deadline_ms, req.cancel, worker.workspace);
         solve_hist_.record_ms(job.result.elapsed_ms);
         executed_.fetch_add(1, std::memory_order_relaxed);
         if (owner) {
@@ -732,10 +743,7 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     worker.variant_gen = 0;
     throw;
   }
-  // Serialization was applied to the base once; the variant must not get a
-  // second layer of self-buffers.
   AnalysisOptions options = run.batch->options;
-  options.serialize_tasks = false;
   const bool warm = run.batch->warm_start && run.batch->method == Method::KIter;
   if (warm && !deltas[index].rates.empty()) {
     // A rate delta changes the repetition vector, so the previous variant's
@@ -745,7 +753,9 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     worker.workspace.reset_solver_warm_start();
   }
   if (warm) options.kiter.mcrp.howard_warm_start = true;
-  return execute_request(worker.variant_graph, run.batch->method, options,
+  // Serialization was applied to the base once; the variant must not get a
+  // second layer of self-buffers.
+  return execute_request(worker.variant_graph, /*prepared=*/true, run.batch->method, options,
                          run.batch->deadline_ms, run.batch->cancel, worker.workspace,
                          warm ? &worker.warm_k : nullptr,
                          warm ? &worker.warm_k_valid : nullptr);
@@ -1034,7 +1044,8 @@ Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,
   }
   Worker& caller = *workers_.back();
   std::lock_guard<std::mutex> wk(caller.in_use);
-  Analysis a = execute_request(g, method, options, deadline_ms, cancel, caller.workspace);
+  Analysis a = execute_request(g, /*prepared=*/false, method, options, deadline_ms, cancel,
+                               caller.workspace);
   a.worker_id = caller_id;
   solve_hist_.record_ms(a.elapsed_ms);
   executed_.fetch_add(1, std::memory_order_relaxed);

@@ -340,8 +340,14 @@ class ThroughputService {
   /// ticket to pass to wait(). The request's content is snapshotted into
   /// the job before submit() returns, so mutating the caller's graph
   /// afterwards can neither change the analysis nor poison the result
-  /// cache. A cache hit completes the ticket before submit() returns; in
-  /// inline mode every request is served synchronously.
+  /// cache. The job owns the moved-in graph, so the worker applies
+  /// options.serialize_tasks to it in place (serialize_tasks_in_place) — no
+  /// copy at all, unlike analyze_batch and analyze, which serialize a copy
+  /// of the caller's graph. The result-cache key is taken before that, from
+  /// the unserialized content, so a submitted request and an identical
+  /// batch or inline request share one cache entry. A cache hit completes
+  /// the ticket before submit() returns; in inline mode every request is
+  /// served synchronously.
   i64 submit(AnalysisRequest request);
 
   /// Blocks until the submitted request finishes, returns its Analysis and

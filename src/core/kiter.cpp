@@ -221,8 +221,6 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     if (passed) {
       result.k = k;
       result.critical_tasks = ws.critical_tasks;
-      result.critical_description =
-          ws.constraints.describe_circuit(g, ws.solved.critical_cycle);
       snapshot_effort();
       if (status == KEvalStatus::InfeasibleK) {
         // The circuit's induced subgraph cannot be scheduled even at the K
@@ -261,7 +259,13 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
 KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
                              const KIterOptions& options) {
   KIterWorkspace ws;
-  return kiter_throughput(g, rv, options, ws);
+  KIterResult r = kiter_throughput(g, rv, options, ws);
+  // Optimal and Deadlock are the exits that passed the optimality test; the
+  // workspace still holds that round's constraint graph and circuit.
+  if (r.status == ThroughputStatus::Optimal || r.status == ThroughputStatus::Deadlock) {
+    r.critical_description = ws.constraints.describe_circuit(g, ws.solved.critical_cycle);
+  }
+  return r;
 }
 
 KIterResult kiter_throughput(const CsdfGraph& g, const KIterOptions& options) {

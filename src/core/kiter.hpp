@@ -169,6 +169,10 @@ struct KIterResult {
   double solve_ms = 0.0;
 
   std::vector<TaskId> critical_tasks;
+  /// The critical circuit of an Optimal or Deadlock exit, as readable text.
+  /// Filled only by the overloads that own their workspace (no KIterWorkspace
+  /// argument); the workspace overload leaves it empty, so batch callers
+  /// never pay for a string they do not read.
   std::string critical_description;
 
   /// The schedule achieving `period` (valid when Optimal, or when

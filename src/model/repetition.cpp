@@ -45,8 +45,11 @@ RepetitionVector compute_repetition_vector(const CsdfGraph& g) {
         }
         return true;
       };
+      // Self-loops constrain no other task, so they are skipped here; the
+      // verification pass below still rejects one whose rates differ.
       for (const BufferId bid : g.out_buffers(t)) {
         const Buffer& b = g.buffer(bid);
+        if (b.is_self_loop()) continue;
         // q_src * i_b = q_dst * o_b  =>  f_dst = f_src * i_b / o_b
         const Rational required =
             f[static_cast<std::size_t>(t)] * Rational(b.total_prod, b.total_cons);
@@ -54,6 +57,7 @@ RepetitionVector compute_repetition_vector(const CsdfGraph& g) {
       }
       for (const BufferId bid : g.in_buffers(t)) {
         const Buffer& b = g.buffer(bid);
+        if (b.is_self_loop()) continue;
         const Rational required =
             f[static_cast<std::size_t>(t)] * Rational(b.total_cons, b.total_prod);
         if (!relax(b.src, required)) return result;

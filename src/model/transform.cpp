@@ -7,13 +7,6 @@ namespace kp {
 
 namespace {
 
-/// Deep copy of tasks into a fresh graph (buffers are appended by callers).
-CsdfGraph copy_tasks(const CsdfGraph& g) {
-  CsdfGraph out(g.name());
-  for (const Task& t : g.tasks()) out.add_task(t.name, t.durations);
-  return out;
-}
-
 std::vector<i64> repeat_vector(const std::vector<i64>& v, i64 times) {
   std::vector<i64> out;
   out.reserve(v.size() * static_cast<std::size_t>(times));
@@ -23,21 +16,23 @@ std::vector<i64> repeat_vector(const std::vector<i64>& v, i64 times) {
 
 }  // namespace
 
-CsdfGraph add_serialization_buffers(const CsdfGraph& g) {
-  CsdfGraph out = copy_tasks(g);
-  for (const Buffer& b : g.buffers()) {
-    out.add_buffer(b.name, b.src, b.dst, b.prod, b.cons, b.initial_tokens);
-  }
+void serialize_tasks_in_place(CsdfGraph& g) {
   for (TaskId t = 0; t < g.task_count(); ++t) {
+    // Decided before add_buffer grows t's adjacency list.
     const auto& outs = g.out_buffers(t);
     const bool has_self = std::any_of(outs.begin(), outs.end(), [&](BufferId bid) {
       return g.buffer(bid).is_self_loop();
     });
     if (has_self) continue;
     const auto phi = static_cast<std::size_t>(g.phases(t));
-    out.add_buffer("serial:" + g.task(t).name, t, t, std::vector<i64>(phi, 1),
-                   std::vector<i64>(phi, 1), 1);
+    g.add_buffer("serial:" + g.task(t).name, t, t, std::vector<i64>(phi, 1),
+                 std::vector<i64>(phi, 1), 1);
   }
+}
+
+CsdfGraph add_serialization_buffers(const CsdfGraph& g) {
+  CsdfGraph out = g;
+  serialize_tasks_in_place(out);
   return out;
 }
 
@@ -45,11 +40,7 @@ CsdfGraph apply_buffer_capacities(const CsdfGraph& g, const std::vector<i64>& ca
   if (static_cast<std::int32_t>(capacities.size()) != g.buffer_count()) {
     throw ModelError("apply_buffer_capacities: need one capacity per buffer");
   }
-  CsdfGraph out = copy_tasks(g);
-  for (BufferId i = 0; i < g.buffer_count(); ++i) {
-    const Buffer& b = g.buffer(i);
-    out.add_buffer(b.name, b.src, b.dst, b.prod, b.cons, b.initial_tokens);
-  }
+  CsdfGraph out = g;
   for (BufferId i = 0; i < g.buffer_count(); ++i) {
     const Buffer& b = g.buffer(i);
     const i64 cap = capacities[static_cast<std::size_t>(i)];

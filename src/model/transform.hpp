@@ -1,9 +1,10 @@
 // Model-to-model transformations.
 //
-// * add_serialization_buffers — make task iterations non-reentrant by adding
-//   a one-token self-buffer per task (SDF3's "disable auto-concurrency").
-//   All analyses in this library operate on the graph as given; the façade
-//   applies this transform first so every method shares one semantics.
+// * add_serialization_buffers / serialize_tasks_in_place — make task
+//   iterations non-reentrant by adding a one-token self-buffer per task
+//   (SDF3's "disable auto-concurrency"). All analyses in this library
+//   operate on the graph as given; the façade applies this transform first
+//   so every method shares one semantics.
 // * apply_buffer_capacities — model bounded buffers by reverse arcs, the
 //   transformation the paper's "fixed buffer size" rows rely on.
 // * expand_phases — the §3.2 duplication G̃ of the phase vectors (K_t copies
@@ -20,9 +21,15 @@
 
 namespace kp {
 
-/// Returns a copy of g where every task that has no self-buffer gets one
-/// with unit rates on every phase and a single initial token. The resulting
-/// execution semantics: one phase of a task at a time, iterations in order.
+/// Gives every task of g that has no self-buffer one named "serial:<task>",
+/// with unit rates on every phase and a single initial token, appended in
+/// task order. The resulting execution semantics: one phase of a task at a
+/// time, iterations in order. Existing tasks and buffers keep their ids and
+/// content, so a graph that owns its request (ThroughputService::submit) is
+/// serialized without any copy. Idempotent.
+void serialize_tasks_in_place(CsdfGraph& g);
+
+/// A copy of g with serialize_tasks_in_place applied; g is left unchanged.
 [[nodiscard]] CsdfGraph add_serialization_buffers(const CsdfGraph& g);
 
 /// Returns a copy of g where buffer i is given capacity `capacities[i]` by

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include "gen/categories.hpp"
+#include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
+#include "gen/scenario_gen.hpp"
 #include "model/repetition.hpp"
+#include "model/transform.hpp"
 
 namespace kp {
 namespace {
@@ -93,6 +96,63 @@ TEST(Repetition, SelfLoopAlwaysBalanced) {
   const RepetitionVector rv = compute_repetition_vector(g);
   ASSERT_TRUE(rv.consistent);
   EXPECT_EQ(rv.q, (std::vector<i64>{1}));
+}
+
+TEST(Repetition, UnbalancedSelfLoopFailsVerification) {
+  // The rate propagation skips self-loops (they constrain no other task);
+  // the pass over every buffer must still reject one with i_b != o_b.
+  CsdfGraph g;
+  const TaskId a = g.add_task("A", 1);
+  const TaskId b = g.add_task("B", std::vector<i64>{1, 1});
+  g.add_buffer("ab", a, b, std::vector<i64>{2}, std::vector<i64>{1, 1}, 0);
+  g.add_buffer("ba", b, a, std::vector<i64>{1, 1}, std::vector<i64>{2}, 2);
+  g.add_buffer("b-self", b, b, std::vector<i64>{1, 1}, std::vector<i64>{2, 1}, 3);
+  const RepetitionVector rv = compute_repetition_vector(g);
+  EXPECT_FALSE(rv.consistent);
+  EXPECT_NE(rv.failure_reason.find("'b-self' violates"), std::string::npos) << rv.failure_reason;
+
+  // The same self-loop alone, on a task with no other buffer.
+  CsdfGraph lone;
+  const TaskId t = lone.add_task("T", 1);
+  lone.add_buffer("t-self", t, t, 2, 1, 1);
+  EXPECT_FALSE(compute_repetition_vector(lone).consistent);
+}
+
+/// Every graph family src/gen/ produces, a few seeds/sizes each.
+std::vector<NamedGraph> every_generator() {
+  std::vector<NamedGraph> all = make_actual_dsp();
+  for (auto&& part : {make_mimic_dsp(20160605, 10), make_lg_hsdf(20160606, 8),
+                      make_lg_transient(20160607, 8), make_csdf_applications(),
+                      make_csdf_synthetic()}) {
+    all.insert(all.end(), part.begin(), part.end());
+  }
+  for (const NamedGraph& ng : make_csdf_applications()) {
+    all.push_back({ng.name + " (fixed buffers)", with_buffer_capacities(ng.graph)});
+  }
+  all.push_back({"gcd_ring(12)", gcd_ring(12)});
+  all.push_back({"figure1_buffer", figure1_buffer()});
+  all.push_back({"figure2", figure2_graph()});
+  all.push_back({"figure2_deadlocked", figure2_deadlocked()});
+  all.push_back({"tiny_pipeline", tiny_pipeline()});
+  all.push_back({"no_onep_schedule", no_onep_schedule_graph()});
+  Rng rng(2016);
+  for (int i = 0; i < 10; ++i) {
+    all.push_back({"random_csdf " + std::to_string(i), random_csdf(rng)});
+    all.push_back({"random_sdf " + std::to_string(i), random_sdf(rng)});
+    all.push_back({"random_scenario " + std::to_string(i), random_scenario(rng).base});
+  }
+  return all;
+}
+
+TEST(Repetition, SerializationLeavesQUnchanged) {
+  for (const NamedGraph& ng : every_generator()) {
+    const RepetitionVector plain = compute_repetition_vector(ng.graph);
+    const RepetitionVector serialized =
+        compute_repetition_vector(add_serialization_buffers(ng.graph));
+    EXPECT_EQ(serialized.consistent, plain.consistent) << ng.name;
+    EXPECT_EQ(serialized.q, plain.q) << ng.name;
+    EXPECT_TRUE(serialized.sum == plain.sum) << ng.name;
+  }
 }
 
 TEST(Repetition, CsdfUsesTotalRates) {

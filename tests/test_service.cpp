@@ -6,7 +6,11 @@
 //     analyze_throughput, on a 200-graph random sweep that mixes Value,
 //     Deadlock, Unbounded and (deterministic) Budget requests — all served
 //     through long-lived per-worker workspaces;
-//   * submit()/wait() returns the same results asynchronously;
+//   * submit()/wait() returns the same results asynchronously; a submitted
+//     graph is serialized in place on the worker, and that path matches
+//     analyze_batch and analyze bit-for-bit on Table-1 graphs (critical
+//     cycles through the added self-loops included) and shares their
+//     result-cache entries;
 //   * a CancelToken fired mid-run (from inside the poll chain, so the test
 //     is deterministic) stops K-Iter with Outcome::Budget and does not
 //     disturb the other requests of the batch;
@@ -21,6 +25,7 @@
 
 #include "api/service.hpp"
 #include "core/constraints.hpp"
+#include "gen/categories.hpp"
 #include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
@@ -177,6 +182,101 @@ TEST(ThroughputService, SubmitWaitMatchesOneShot) {
   }
   EXPECT_THROW((void)service.wait(tickets[0]), SolverError);  // already collected
   EXPECT_THROW((void)service.wait(99999), SolverError);       // never issued
+}
+
+/// Everything a solve returns, not only the value fields: solver effort
+/// and the critical-cycle certificate too.
+void expect_same_solve(const Analysis& a, const Analysis& b, const std::string& what) {
+  EXPECT_EQ(a.outcome, b.outcome) << what;
+  EXPECT_EQ(a.quality, b.quality) << what;
+  EXPECT_EQ(a.period, b.period) << what;
+  EXPECT_EQ(a.throughput, b.throughput) << what;
+  EXPECT_EQ(a.detail, b.detail) << what;
+  EXPECT_EQ(a.rounds, b.rounds) << what;
+  EXPECT_EQ(a.mcrp_iterations, b.mcrp_iterations) << what;
+  EXPECT_EQ(a.howard_iterations, b.howard_iterations) << what;
+  EXPECT_EQ(a.critical_cycle.coeffs, b.critical_cycle.coeffs) << what;
+  EXPECT_EQ(a.critical_cycle.tasks, b.critical_cycle.tasks) << what;
+  EXPECT_EQ(a.critical_cycle.k, b.critical_cycle.k) << what;
+  EXPECT_EQ(a.critical_cycle.cycle_cost, b.critical_cycle.cycle_cost) << what;
+  EXPECT_EQ(a.critical_cycle.cycle_time, b.critical_cycle.cycle_time) << what;
+  EXPECT_EQ(a.critical_cycle.ratio, b.critical_cycle.ratio) << what;
+}
+
+std::vector<i64> content_words(const CsdfGraph& g) {
+  std::vector<i64> words;
+  append_content_snapshot(g, words);
+  return words;
+}
+
+bool has_self_loop(const CsdfGraph& g, TaskId t) {
+  for (const BufferId b : g.out_buffers(t)) {
+    if (g.buffer(b).is_self_loop()) return true;
+  }
+  return false;
+}
+
+TEST(ThroughputService, SubmitInPlaceMatchesBatchAndAnalyzeOnTable1) {
+  std::vector<NamedGraph> graphs = make_actual_dsp();
+  for (auto&& part : {make_mimic_dsp(20160605, 12), make_lg_hsdf(20160606, 8),
+                      make_lg_transient(20160607, 8)}) {
+    graphs.insert(graphs.end(), part.begin(), part.end());
+  }
+  AnalysisOptions options;  // serialize_tasks on, as in Table 1
+  options.kiter.max_constraint_pairs = i128{20} * 1000 * 1000;
+  std::vector<AnalysisRequest> requests;
+  for (const NamedGraph& ng : graphs) {
+    requests.push_back(AnalysisRequest{.graph = ng.graph, .options = options});
+  }
+
+  // Cache off, so every entry point runs its own solve: analyze_batch and
+  // analyze serialize a copy of the caller's graph, submit serializes the
+  // job's own graph in place.
+  ThroughputService service(ServiceOptions{.threads = 2, .result_cache_capacity = 0});
+  const std::vector<Analysis> batch = service.analyze_batch(requests);
+  int bound_by_serialization = 0;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const CsdfGraph& g = requests[i].graph;
+    const std::vector<i64> before = content_words(g);
+    AnalysisRequest copy = requests[i];
+    const Analysis submitted = service.wait(service.submit(std::move(copy)));
+    const Analysis inline_run = service.analyze(g, Method::KIter, options);
+    expect_same_solve(submitted, batch[i], graphs[i].name + " (submit)");
+    expect_same_solve(inline_run, batch[i], graphs[i].name + " (analyze)");
+    // The caller's graph, copied into the request, comes back unmodified.
+    EXPECT_EQ(content_words(g), before) << graphs[i].name;
+    EXPECT_EQ(g.buffer_count(), graphs[i].graph.buffer_count()) << graphs[i].name;
+    // A one-task critical cycle on a task the input gives no self-loop
+    // runs through the serial: buffer serialization added.
+    const std::vector<TaskId>& cycle = submitted.critical_cycle.tasks;
+    if (cycle.size() == 1 && !has_self_loop(g, cycle.front())) ++bound_by_serialization;
+  }
+  EXPECT_GT(bound_by_serialization, 0);
+  EXPECT_EQ(service.stats().cache_hits + service.stats().cache_misses, 0u);
+}
+
+TEST(ThroughputService, SubmittedRequestSharesCacheEntryWithBatchAndAnalyze) {
+  // The key of a submitted request is taken before its graph is serialized
+  // in place, so an identical batch or inline request hits its entry.
+  ThroughputService service(ServiceOptions{.threads = 2});
+  const AnalysisRequest req{.graph = make_actual_dsp().front().graph};
+  const Analysis submitted = service.wait(service.submit(AnalysisRequest(req)));
+  ServiceStats s = service.stats();
+  EXPECT_EQ(s.cache_misses, 1u);
+  EXPECT_EQ(s.cache_hits, 0u);
+
+  const std::vector<Analysis> batch = service.analyze_batch(std::span(&req, 1));
+  s = service.stats();
+  EXPECT_EQ(s.cache_misses, 1u);
+  EXPECT_EQ(s.cache_hits, 1u);
+  expect_same_solve(batch.front(), submitted, "batch after submit");
+
+  const Analysis inline_run = service.analyze(req.graph, req.method, req.options);
+  s = service.stats();
+  EXPECT_EQ(s.cache_misses, 1u);
+  EXPECT_EQ(s.cache_hits, 2u);
+  expect_same_solve(inline_run, submitted, "analyze after submit");
+  EXPECT_EQ(s.jobs_executed, 1u);
 }
 
 TEST(ThroughputService, InlineModeServesEverything) {

@@ -1,7 +1,11 @@
-// Tests for model transformations: serialization self-buffers, buffer
-// capacities (reverse arcs) and the §3.2 phase duplication.
+// Tests for model transformations: serialization self-buffers (copying and
+// in place), buffer capacities (reverse arcs) and the §3.2 phase
+// duplication.
 #include <gtest/gtest.h>
 
+#include "core/constraints.hpp"
+#include "gen/categories.hpp"
+#include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
 #include "model/repetition.hpp"
@@ -45,6 +49,92 @@ TEST(Serialize, PreservesConsistency) {
   const RepetitionVector rv = compute_repetition_vector(s);
   ASSERT_TRUE(rv.consistent);
   EXPECT_EQ(rv.q, (std::vector<i64>{3, 4, 6, 1}));
+}
+
+/// Flattened graph content (core/constraints.hpp). It leaves names out, and
+/// the serialization buffers are known by name, so buffer_names compares
+/// those.
+std::vector<i64> content_words(const CsdfGraph& g) {
+  std::vector<i64> words;
+  append_content_snapshot(g, words);
+  return words;
+}
+
+std::vector<std::string> buffer_names(const CsdfGraph& g) {
+  std::vector<std::string> names;
+  for (const Buffer& b : g.buffers()) names.push_back(b.name);
+  return names;
+}
+
+/// The in-place transform must give exactly the copying transform's graph,
+/// and leave every original buffer at its id.
+void expect_in_place_matches_copy(const CsdfGraph& g, const std::string& what) {
+  const CsdfGraph copied = add_serialization_buffers(g);
+  CsdfGraph in_place = g;
+  serialize_tasks_in_place(in_place);
+  EXPECT_EQ(content_words(in_place), content_words(copied)) << what;
+  EXPECT_EQ(buffer_names(in_place), buffer_names(copied)) << what;
+  EXPECT_EQ(in_place.name(), g.name()) << what;
+  ASSERT_GE(in_place.buffer_count(), g.buffer_count()) << what;
+  for (BufferId b = 0; b < g.buffer_count(); ++b) {
+    const Buffer& before = g.buffer(b);
+    const Buffer& after = in_place.buffer(b);
+    EXPECT_EQ(after.name, before.name) << what << " buffer " << b;
+    EXPECT_EQ(after.src, before.src) << what << " buffer " << b;
+    EXPECT_EQ(after.dst, before.dst) << what << " buffer " << b;
+    EXPECT_EQ(after.prod, before.prod) << what << " buffer " << b;
+    EXPECT_EQ(after.cons, before.cons) << what << " buffer " << b;
+    EXPECT_EQ(after.initial_tokens, before.initial_tokens) << what << " buffer " << b;
+  }
+  for (TaskId t = 0; t < in_place.task_count(); ++t) {
+    int self = 0;
+    for (const BufferId b : in_place.out_buffers(t)) self += in_place.buffer(b).is_self_loop();
+    EXPECT_GE(self, 1) << what << " task " << in_place.task(t).name;
+  }
+}
+
+TEST(Serialize, InPlaceMatchesCopyOnTable1Generators) {
+  std::vector<NamedGraph> graphs = make_actual_dsp();
+  for (auto&& part : {make_mimic_dsp(20160605, 25), make_lg_hsdf(20160606, 15),
+                      make_lg_transient(20160607, 15)}) {
+    graphs.insert(graphs.end(), part.begin(), part.end());
+  }
+  for (const NamedGraph& ng : graphs) expect_in_place_matches_copy(ng.graph, ng.name);
+}
+
+TEST(Serialize, InPlaceSkipsTasksThatHaveASelfLoop) {
+  CsdfGraph g("partly-serialized");
+  const TaskId a = g.add_task("A", std::vector<i64>{1, 2});
+  const TaskId b = g.add_task("B", 3);
+  const TaskId c = g.add_task("C", std::vector<i64>{1, 1, 1});
+  g.add_buffer("ab", a, b, std::vector<i64>{1, 1}, std::vector<i64>{2}, 0);
+  g.add_buffer("a-self", a, a, std::vector<i64>{1, 1}, std::vector<i64>{1, 1}, 2);
+  g.add_buffer("bc", b, c, std::vector<i64>{3}, std::vector<i64>{1, 1, 1}, 0);
+  g.add_buffer("ca", c, a, std::vector<i64>{1, 0, 1}, std::vector<i64>{1, 1}, 4);
+  g.add_buffer("c-self", c, c, std::vector<i64>{1, 1, 1}, std::vector<i64>{1, 1, 1}, 1);
+  expect_in_place_matches_copy(g, g.name());
+
+  CsdfGraph s = g;
+  serialize_tasks_in_place(s);
+  ASSERT_EQ(s.buffer_count(), g.buffer_count() + 1);  // only B lacked one
+  const Buffer& added = s.buffer(g.buffer_count());
+  EXPECT_EQ(added.name, "serial:B");
+  EXPECT_EQ(added.src, b);
+  EXPECT_EQ(added.dst, b);
+  EXPECT_EQ(added.initial_tokens, 1);
+  for (const TaskId t : {a, b, c}) {
+    int self = 0;
+    for (const BufferId id : s.out_buffers(t)) self += s.buffer(id).is_self_loop();
+    EXPECT_EQ(self, 1) << "task " << s.task(t).name;
+  }
+
+  // A second pass finds a self-loop on every task and adds nothing.
+  const std::vector<i64> once = content_words(s);
+  serialize_tasks_in_place(s);
+  EXPECT_EQ(content_words(s), once);
+
+  // gcd_ring serializes its high-rate tasks itself.
+  expect_in_place_matches_copy(gcd_ring(6), "gcd_ring(6)");
 }
 
 TEST(Capacities, AddsReverseArcs) {
