@@ -81,18 +81,23 @@ bool parent_graph_cycle(std::int32_t n, McrpScratch& s) {
 
 /// Queue-based (SPFA-style) longest-path relaxation with all-zero sources
 /// over the cyclic core (scratch.cyclic + its CSR). Detects whether a
-/// positive-weight cycle exists under scratch.weights and extracts one into
-/// scratch.bf_cycle (original arc ids). Near-linear on the no-positive-cycle
-/// case that dominates the improvement loop, O(n·m) worst case like
-/// round-based Bellman–Ford.
-bool bf_positive_cycle(std::int32_t n, McrpScratch& s) {
-  s.dist.assign(static_cast<std::size_t>(n), Rational{});
+/// positive-weight cycle exists under `weights` (indexed like
+/// scratch.cyclic) and extracts one into scratch.bf_cycle (original arc
+/// ids, traversal order). Near-linear on the no-positive-cycle case that
+/// dominates the improvement loop, O(n·m) worst case like round-based
+/// Bellman–Ford. `Label` is Rational, or i128 for weights pre-scaled to a
+/// common denominator — the caller then guarantees 2(n+1)·max|weight|
+/// fits i128, which bounds every label (see the cycle search below).
+template <typename Label>
+bool bf_positive_cycle(std::int32_t n, const std::vector<Label>& weights, std::vector<Label>& dist,
+                       McrpScratch& s) {
+  dist.assign(static_cast<std::size_t>(n), Label{});
   s.parent.assign(static_cast<std::size_t>(n), -1);
-  // Relaxation-path length per node: when it reaches n, the parent chain
-  // holds n+1 nodes, hence a repeated node, hence a (positive) cycle.
+  // Arc count of the relaxation walk that realized each label.
   s.len.assign(static_cast<std::size_t>(n), 0);
   s.queued.assign(static_cast<std::size_t>(n), 0);
   s.bf_cycle.clear();
+  std::int32_t check_in = 1;  // long-walk relaxations until the next cycle search
   RingQueue queue(s.ring, n);
   for (std::int32_t v = 0; v < n; ++v) {
     if (s.out_offsets[static_cast<std::size_t>(v)] !=
@@ -110,72 +115,29 @@ bool bf_positive_cycle(std::int32_t n, McrpScratch& s) {
     for (std::size_t k = lo; k < hi; ++k) {
       const std::int32_t i = s.out_ids[k];
       const ArcRef& a = s.cyclic[static_cast<std::size_t>(i)];
-      Rational cand = s.dist[static_cast<std::size_t>(a.src)] + s.weights[static_cast<std::size_t>(i)];
-      if (!(cand > s.dist[static_cast<std::size_t>(a.dst)])) continue;
-      s.dist[static_cast<std::size_t>(a.dst)] = std::move(cand);
+      Label cand = dist[static_cast<std::size_t>(a.src)] + weights[static_cast<std::size_t>(i)];
+      if (!(cand > dist[static_cast<std::size_t>(a.dst)])) continue;
+      dist[static_cast<std::size_t>(a.dst)] = std::move(cand);
       s.parent[static_cast<std::size_t>(a.dst)] = i;
       s.len[static_cast<std::size_t>(a.dst)] = s.len[static_cast<std::size_t>(a.src)] + 1;
-      if (s.len[static_cast<std::size_t>(a.dst)] >= n) {
-        if (!parent_graph_cycle(n, s)) {
-          throw SolverError("positive-cycle detection: parent graph acyclic (invariant breach)");
+      // A label realized by a walk of n arcs proves a positive cycle: the
+      // walk repeats a node, and a non-positive loop could not have raised
+      // the label. Its parent links usually still form that cycle, but later
+      // relaxations may have overwritten them; then relax on and search
+      // again after n more long-walk relaxations. Labels only rise, and an
+      // acyclic parent graph bounds each by its tree path's weight, so once
+      // one exceeds every simple-path weight P the parent graph stays cyclic
+      // (any cycle in it is positive) and the next search finds it. Labels
+      // reach at most P + (n+1)·max|weight| by then.
+      if (s.len[static_cast<std::size_t>(a.dst)] >= n && --check_in == 0) {
+        if (parent_graph_cycle(n, s)) {
+          s.bf_cycle.reserve(s.cycle_local.size());
+          for (const std::int32_t local : s.cycle_local) {
+            s.bf_cycle.push_back(s.cyclic[static_cast<std::size_t>(local)].id);
+          }
+          return true;
         }
-        s.bf_cycle.reserve(s.cycle_local.size());
-        for (const std::int32_t local : s.cycle_local) {
-          s.bf_cycle.push_back(s.cyclic[static_cast<std::size_t>(local)].id);
-        }
-        return true;
-      }
-      if (!s.queued[static_cast<std::size_t>(a.dst)]) {
-        s.queued[static_cast<std::size_t>(a.dst)] = 1;
-        queue.push(a.dst);
-      }
-    }
-  }
-  return false;
-}
-
-/// bf_positive_cycle with pre-scaled integer weights (scratch.int_weights):
-/// identical worklist relaxation, but the labels are plain i128 — no
-/// rational normalization per step. The caller guarantees label sums
-/// cannot overflow ((n+1)·max|weight| fits i128 with headroom).
-bool bf_positive_cycle_int(std::int32_t n, McrpScratch& s) {
-  s.int_dist.assign(static_cast<std::size_t>(n), 0);
-  s.parent.assign(static_cast<std::size_t>(n), -1);
-  s.len.assign(static_cast<std::size_t>(n), 0);
-  s.queued.assign(static_cast<std::size_t>(n), 0);
-  s.bf_cycle.clear();
-  RingQueue queue(s.ring, n);
-  for (std::int32_t v = 0; v < n; ++v) {
-    if (s.out_offsets[static_cast<std::size_t>(v)] !=
-        s.out_offsets[static_cast<std::size_t>(v) + 1]) {
-      queue.push(v);
-      s.queued[static_cast<std::size_t>(v)] = 1;
-    }
-  }
-
-  while (!queue.empty()) {
-    const std::int32_t u = queue.pop();
-    s.queued[static_cast<std::size_t>(u)] = 0;
-    const auto lo = static_cast<std::size_t>(s.out_offsets[static_cast<std::size_t>(u)]);
-    const auto hi = static_cast<std::size_t>(s.out_offsets[static_cast<std::size_t>(u) + 1]);
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::int32_t i = s.out_ids[k];
-      const ArcRef& a = s.cyclic[static_cast<std::size_t>(i)];
-      const i128 cand =
-          s.int_dist[static_cast<std::size_t>(a.src)] + s.int_weights[static_cast<std::size_t>(i)];
-      if (!(cand > s.int_dist[static_cast<std::size_t>(a.dst)])) continue;
-      s.int_dist[static_cast<std::size_t>(a.dst)] = cand;
-      s.parent[static_cast<std::size_t>(a.dst)] = i;
-      s.len[static_cast<std::size_t>(a.dst)] = s.len[static_cast<std::size_t>(a.src)] + 1;
-      if (s.len[static_cast<std::size_t>(a.dst)] >= n) {
-        if (!parent_graph_cycle(n, s)) {
-          throw SolverError("positive-cycle detection: parent graph acyclic (invariant breach)");
-        }
-        s.bf_cycle.reserve(s.cycle_local.size());
-        for (const std::int32_t local : s.cycle_local) {
-          s.bf_cycle.push_back(s.cyclic[static_cast<std::size_t>(local)].id);
-        }
-        return true;
+        check_in = n;
       }
       if (!s.queued[static_cast<std::size_t>(a.dst)]) {
         s.queued[static_cast<std::size_t>(a.dst)] = 1;
@@ -193,10 +155,10 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
 }
 
 /// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
-/// adjacency for `bg` (whose Digraph must be finalized), recording the warm
-/// key so a later stamp-matching solve or positive-cycle check reuses them.
-void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
-  const Digraph& g = bg.graph();
+/// adjacency for `g` (which must be finalized), recording `stamp` as the
+/// warm key so a later stamp-matching solve or positive-cycle check reuses
+/// them. Stamp 0 records nothing: the next call derives cold again.
+void derive_cyclic_core(const Digraph& g, std::uint64_t stamp, McrpScratch& scratch) {
   const std::int32_t n = g.node_count();
   scratch.warm_stamp = 0;
   // Circuits live inside strongly connected components; restrict the
@@ -216,17 +178,62 @@ void derive_cyclic_core(const BivaluedGraph& bg, McrpScratch& scratch) {
     build_csr_index(n, scratch.cyclic, [](const ArcRef& a) { return a.src; },
                     scratch.out_offsets, scratch.out_ids, scratch.cursor);
   }
-  scratch.warm_stamp = bg.layout_stamp();
+  scratch.warm_stamp = stamp;
   scratch.warm_nodes = n;
   scratch.warm_arcs = g.arc_count();
 }
 
 /// True when the scratch's cyclic core + CSR were derived from a graph with
 /// this exact layout (node/arc topology and H payloads; L costs free).
-bool core_reusable(const BivaluedGraph& bg, const McrpScratch& scratch) {
-  return scratch.warm_stamp != 0 && scratch.warm_stamp == bg.layout_stamp() &&
-         scratch.warm_nodes == bg.graph().node_count() &&
-         scratch.warm_arcs == bg.graph().arc_count();
+bool core_reusable(const Digraph& g, std::uint64_t stamp, const McrpScratch& scratch) {
+  return scratch.warm_stamp != 0 && scratch.warm_stamp == stamp &&
+         scratch.warm_nodes == g.node_count() && scratch.warm_arcs == g.arc_count();
+}
+
+/// Both has_positive_cycle overloads: `stamp` keys the cyclic-core reuse
+/// (0 = always derive cold).
+bool positive_cycle(const Digraph& g, std::uint64_t stamp, std::span<const Rational> weights,
+                    McrpScratch& scratch) {
+  g.finalize();
+  if (weights.size() != static_cast<std::size_t>(g.arc_count())) {
+    throw SolverError("has_positive_cycle: one weight per arc required");
+  }
+  if (!core_reusable(g, stamp, scratch)) derive_cyclic_core(g, stamp, scratch);
+  if (scratch.cyclic.empty()) return false;
+  const std::int32_t n = g.node_count();
+
+  // Integer fast path: scale every cyclic weight by the lcm of their
+  // denominators — a positive factor, so every cycle's weight keeps its
+  // sign and positive-cycle existence is unchanged — then relax plain i128
+  // labels. Bails to Rational labels when the common denominator or the
+  // scaled magnitudes leave no headroom for label sums
+  // (|label| <= 2(n+1)·max|weight| must stay clear of the i128 range).
+  try {
+    i128 common = 1;
+    for (const McrpScratch::ArcRef& a : scratch.cyclic) {
+      common = lcm128(common, weights[static_cast<std::size_t>(a.id)].den());
+    }
+    auto& iw = scratch.int_weights;
+    iw.resize(scratch.cyclic.size());
+    i128 max_abs = 0;
+    for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
+      const Rational& w = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
+      iw[i] = checked_mul(w.num(), common / w.den());
+      max_abs = std::max(max_abs, abs128(iw[i]));
+    }
+    constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
+    if (max_abs > k_i128_max / (2 * (i128{n} + 1))) throw_overflow("has_positive_cycle scale");
+    return bf_positive_cycle(n, scratch.int_weights, scratch.int_dist, scratch);
+  } catch (const OverflowError&) {
+    // Magnitudes too large to scale: fall through to exact rationals.
+  }
+
+  auto& we = scratch.weights;
+  we.resize(scratch.cyclic.size());
+  for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
+    we[i] = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
+  }
+  return bf_positive_cycle(n, scratch.weights, scratch.dist, scratch);
 }
 
 }  // namespace
@@ -259,8 +266,9 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   // set_cost since the scratch last saw this graph) — so a warm solve
   // skips the SCC pass and both derivations. Recorded unconditionally
   // after a cold derivation so a later warm call can reuse it.
-  const bool reuse_core = options.howard_warm_start && core_reusable(bg, scratch);
-  if (!reuse_core) derive_cyclic_core(bg, scratch);
+  const std::uint64_t stamp = bg.layout_stamp();
+  const bool reuse_core = options.howard_warm_start && core_reusable(g, stamp, scratch);
+  if (!reuse_core) derive_cyclic_core(g, stamp, scratch);
   auto& cyclic = scratch.cyclic;
 
   Rational lambda{0};
@@ -312,13 +320,13 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     // ---- exact phase: the result is determined here ------------------------
     auto& we = scratch.weights;
     we.resize(cyclic.size());
-    for (int iter = 0; iter < options.max_iterations; ++iter) {
+    for (int iter = 0;; ++iter) {
       for (std::size_t i = 0; i < cyclic.size(); ++i) {
         const std::int32_t id = cyclic[i].id;
         we[i] = Rational(i128{costs[static_cast<std::size_t>(id)]}, 1) -
                 lambda * times[static_cast<std::size_t>(id)];
       }
-      if (!bf_positive_cycle(n, scratch)) break;
+      if (!bf_positive_cycle(n, we, scratch.dist, scratch)) break;
       i64 lc = 0;
       Rational hc;
       exact_cycle_ratio(scratch.bf_cycle, lc, hc);
@@ -335,6 +343,9 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
       if (!(candidate > lambda)) {
         throw SolverError("cycle-ratio improvement made no progress (invariant breach)");
       }
+      if (iter >= options.max_iterations) {
+        throw SolverError("cycle-ratio improvement exceeded max_iterations");
+      }
       lambda = std::move(candidate);
       critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
       ++out.iterations;
@@ -350,7 +361,7 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
       for (std::size_t i = 0; i < cyclic.size(); ++i) {
         we[i] = -times[static_cast<std::size_t>(cyclic[i].id)];
       }
-      if (bf_positive_cycle(n, scratch)) {
+      if (bf_positive_cycle(n, we, scratch.dist, scratch)) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         return;
@@ -359,7 +370,7 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
         for (std::size_t i = 0; i < cyclic.size(); ++i) {
           we[i] = times[static_cast<std::size_t>(cyclic[i].id)];
         }
-        if (bf_positive_cycle(n, scratch)) {
+        if (bf_positive_cycle(n, we, scratch.dist, scratch)) {
           critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         }
       }
@@ -381,47 +392,12 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
 
 bool has_positive_cycle(const BivaluedGraph& bg, std::span<const Rational> weights,
                         McrpScratch& scratch) {
-  const Digraph& g = bg.graph();
-  g.finalize();
-  if (weights.size() != static_cast<std::size_t>(g.arc_count())) {
-    throw SolverError("has_positive_cycle: one weight per arc required");
-  }
-  if (!core_reusable(bg, scratch)) derive_cyclic_core(bg, scratch);
-  if (scratch.cyclic.empty()) return false;
-  const std::int32_t n = g.node_count();
+  return positive_cycle(bg.graph(), bg.layout_stamp(), weights, scratch);
+}
 
-  // Integer fast path: scale every cyclic weight by the lcm of their
-  // denominators — a positive factor, so every cycle's weight keeps its
-  // sign and positive-cycle existence is unchanged — then relax plain i128
-  // labels. Bails to the rational Bellman–Ford when the common denominator
-  // or the scaled magnitudes leave no headroom for label sums
-  // (|label| <= (n+1)·max|weight| must stay clear of the i128 range).
-  try {
-    i128 common = 1;
-    for (const McrpScratch::ArcRef& a : scratch.cyclic) {
-      common = lcm128(common, weights[static_cast<std::size_t>(a.id)].den());
-    }
-    auto& iw = scratch.int_weights;
-    iw.resize(scratch.cyclic.size());
-    i128 max_abs = 0;
-    for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-      const Rational& w = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
-      iw[i] = checked_mul(w.num(), common / w.den());
-      max_abs = std::max(max_abs, abs128(iw[i]));
-    }
-    constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
-    if (max_abs > k_i128_max / (i128{n} + 2)) throw_overflow("has_positive_cycle scale");
-    return bf_positive_cycle_int(n, scratch);
-  } catch (const OverflowError&) {
-    // Magnitudes too large to scale: fall through to exact rationals.
-  }
-
-  auto& we = scratch.weights;
-  we.resize(scratch.cyclic.size());
-  for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-    we[i] = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
-  }
-  return bf_positive_cycle(n, scratch);
+bool has_positive_cycle(const Digraph& g, std::span<const Rational> weights,
+                        McrpScratch& scratch) {
+  return positive_cycle(g, 0, weights, scratch);
 }
 
 void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,

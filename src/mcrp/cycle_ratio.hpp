@@ -3,7 +3,8 @@
 // Algorithm: candidate-circuit improvement. Maintain a lower bound λ (the
 // exact ratio of the best circuit found so far, initially 0). At each step
 // search for a circuit with positive weight under w_λ(e) = L(e) - λ·H(e)
-// (Bellman–Ford positive-cycle detection). A found circuit either improves
+// (Bellman–Ford positive-cycle detection, the relaxation shared with
+// has_positive_cycle below). A found circuit either improves
 // λ to its exact ratio, or — when H(c) <= 0 — witnesses that no positive
 // period satisfies the constraint system (Infeasible). When no positive
 // circuit remains, λ is the exact optimum and the last improving circuit is
@@ -78,8 +79,9 @@ struct McrpOptions {
   bool howard_warm_start = false;
   /// Fill McrpResult::potentials.
   bool compute_potentials = true;
-  /// Safety bound on improvement steps (a diagnostic aid; the algorithm
-  /// terminates on its own).
+  /// Safety bound on exact improvement steps (a diagnostic aid; the
+  /// algorithm terminates on its own). A solve that needs more throws
+  /// SolverError rather than report a non-optimal ratio.
   int max_iterations = 1 << 20;
 };
 
@@ -144,17 +146,28 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
                            McrpScratch& scratch, McrpResult& out);
 
 /// True iff some circuit of `g` has positive total weight under the per-arc
-/// rational `weights` (one entry per arc id). Reuses the scratch's
-/// SCC-restricted cyclic core and CSR adjacency when the graph's layout
-/// stamp matches what the scratch last derived (any prior solve on `g`
-/// records it); derives them cold otherwise. When the weights admit a
-/// common denominator with i128 headroom (the usual case), the relaxation
-/// runs on scaled integer labels — same verdict, no per-step rational
-/// normalization. The symbolic-region engine (core/regions.hpp) calls this
-/// to certify that a candidate ratio λ stays maximal along a parameter
-/// ray: no circuit beats λ iff no circuit is positive under
-/// w(e) = L(e) - λ·H(e).
+/// rational `weights` (one entry per arc id). On a true return
+/// scratch.bf_cycle holds one such circuit's arc ids in traversal order.
+///
+/// This is the one exact positive-cycle routine: a single SPFA relaxation
+/// over the SCC-restricted cyclic core serves the exact phase of
+/// solve_max_cycle_ratio, region certification (core/regions.hpp: no
+/// circuit beats λ along a parameter ray iff none is positive under
+/// w(e) = L(e) - λ·H(e)) and the scenario combine (scenario/scenario.hpp:
+/// cycle-cancelling on value - λ·transit). When the weights admit a common
+/// denominator with i128 headroom (the usual case), the relaxation runs on
+/// scaled integer labels — same verdict, no per-step rational
+/// normalization — and falls back to Rational labels otherwise.
+///
+/// This overload reuses the scratch's cyclic core and CSR adjacency when
+/// the graph's layout stamp matches what the scratch last derived (any
+/// prior solve on `g` records it); derives them cold otherwise.
 [[nodiscard]] bool has_positive_cycle(const BivaluedGraph& g, std::span<const Rational> weights,
+                                      McrpScratch& scratch);
+
+/// Same check on a plain digraph. No layout stamp exists, so the cyclic
+/// core is always derived cold (and the scratch's warm key is cleared).
+[[nodiscard]] bool has_positive_cycle(const Digraph& g, std::span<const Rational> weights,
                                       McrpScratch& scratch);
 
 /// Just the potentials relaxation at a given λ (the pass solve_… performs

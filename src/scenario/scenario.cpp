@@ -1,12 +1,13 @@
 #include "scenario/scenario.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 #include <utility>
 
 #include "api/service.hpp"
 #include "graph/digraph.hpp"
-#include "graph/scc.hpp"
+#include "mcrp/cycle_ratio.hpp"
 #include "util/error.hpp"
 #include "util/stopwatch.hpp"
 
@@ -44,14 +45,8 @@ void check_transition(const ScenarioGraph& s, const ScenarioTransition& t, std::
   }
 }
 
-/// One FSM cycle as transition ids in traversal order, with its exact ratio
-/// λ = (Σ value) / (Σ transit).
-struct CycleCandidate {
-  Rational lambda;
-  std::vector<std::int32_t> arcs;
-};
-
-Rational cycle_ratio(const std::vector<std::int32_t>& arcs, const std::vector<Rational>& value,
+/// Exact ratio λ = (Σ value) / (Σ transit) of one FSM cycle.
+Rational cycle_ratio(std::span<const std::int32_t> arcs, const std::vector<Rational>& value,
                      const std::vector<i64>& transit) {
   Rational v{0};
   i64 t = 0;
@@ -60,109 +55,6 @@ Rational cycle_ratio(const std::vector<std::int32_t>& arcs, const std::vector<Ra
     t = checked_add(t, transit[static_cast<std::size_t>(a)]);
   }
   return v / Rational{t};
-}
-
-/// Exact maximum cycle ratio of one strongly connected component by
-/// cycle-cancelling ratio iteration: seed λ from any cycle, then repeatedly
-/// run a longest-path Bellman–Ford under weights value − λ·transit (all
-/// Rational); a still-improving arc after |comp| passes certifies a cycle of
-/// ratio > λ, which becomes the new λ. λ strictly increases through the
-/// finite set of simple-cycle ratios, so this terminates with the binding
-/// cycle itself. Deterministic: arcs are relaxed in ascending id order and
-/// the seed walk follows each node's smallest internal out-arc.
-///
-/// `comp_nodes`/`comp_arcs` are ascending; every arc's endpoints lie in the
-/// component (so only component nodes are ever touched in the size-n
-/// scratch arrays).
-CycleCandidate component_max_ratio(const Digraph& fsm, const std::vector<std::int32_t>& comp_nodes,
-                                   const std::vector<std::int32_t>& comp_arcs,
-                                   const std::vector<Rational>& value,
-                                   const std::vector<i64>& transit) {
-  const auto n = static_cast<std::size_t>(fsm.node_count());
-  const auto comp_size = static_cast<std::int32_t>(comp_nodes.size());
-
-  // Seed cycle: from the smallest node, follow each node's first internal
-  // out-arc until a node repeats. In a cyclic SCC every node has one.
-  std::vector<std::int32_t> first_out(n, -1);
-  for (auto it = comp_arcs.rbegin(); it != comp_arcs.rend(); ++it) {
-    first_out[static_cast<std::size_t>(fsm.arc_unchecked(*it).src)] = *it;
-  }
-  std::vector<std::int32_t> visited_at(n, -1);
-  std::vector<std::int32_t> walk;
-  std::int32_t cur = comp_nodes.front();
-  std::int32_t step = 0;
-  while (visited_at[static_cast<std::size_t>(cur)] < 0) {
-    visited_at[static_cast<std::size_t>(cur)] = step++;
-    const std::int32_t a = first_out[static_cast<std::size_t>(cur)];
-    if (a < 0) throw SolverError("scenario cycle ratio: SCC node without internal out-arc");
-    walk.push_back(a);
-    cur = fsm.arc_unchecked(a).dst;
-  }
-  CycleCandidate best;
-  best.arcs.assign(walk.begin() + visited_at[static_cast<std::size_t>(cur)], walk.end());
-  best.lambda = cycle_ratio(best.arcs, value, transit);
-
-  std::vector<Rational> dist(n);
-  std::vector<std::int32_t> pred(n, -1);
-  std::vector<std::int8_t> on_walk(n, 0);
-  // Bounded by the number of distinct simple-cycle ratios; the guard only
-  // catches an invariant breach (λ failing to strictly increase).
-  for (i64 round = 0; round <= static_cast<i64>(comp_arcs.size()) * comp_size + 2; ++round) {
-    for (const std::int32_t v : comp_nodes) {
-      dist[static_cast<std::size_t>(v)] = Rational{0};
-      pred[static_cast<std::size_t>(v)] = -1;
-    }
-    std::int32_t witness = -1;
-    for (std::int32_t pass = 0; pass <= comp_size && witness < 0; ++pass) {
-      bool changed = false;
-      for (const std::int32_t a : comp_arcs) {
-        const auto ai = static_cast<std::size_t>(a);
-        const Digraph::Arc& arc = fsm.arc_unchecked(a);
-        const Rational w = value[ai] - best.lambda * Rational{transit[ai]};
-        const Rational cand = dist[static_cast<std::size_t>(arc.src)] + w;
-        if (cand > dist[static_cast<std::size_t>(arc.dst)]) {
-          dist[static_cast<std::size_t>(arc.dst)] = cand;
-          pred[static_cast<std::size_t>(arc.dst)] = a;
-          changed = true;
-          // An improvement past |comp| passes exceeds every simple-path
-          // value, so the pred chain from here must close a positive cycle.
-          if (pass == comp_size) {
-            witness = arc.dst;
-            break;
-          }
-        }
-      }
-      if (!changed) break;
-    }
-    if (witness < 0) return best;  // λ is the maximum; best.arcs binds it
-
-    // Walk the pred chain until a node repeats: those arcs form a cycle of
-    // ratio strictly above the current λ.
-    for (const std::int32_t v : comp_nodes) on_walk[static_cast<std::size_t>(v)] = 0;
-    std::int32_t x = witness;
-    while (on_walk[static_cast<std::size_t>(x)] == 0) {
-      on_walk[static_cast<std::size_t>(x)] = 1;
-      const std::int32_t a = pred[static_cast<std::size_t>(x)];
-      if (a < 0) throw SolverError("scenario cycle ratio: positive-cycle walk left pred chain");
-      x = fsm.arc_unchecked(a).src;
-    }
-    std::vector<std::int32_t> cycle;
-    std::int32_t y = x;
-    do {
-      const std::int32_t a = pred[static_cast<std::size_t>(y)];
-      cycle.push_back(a);
-      y = fsm.arc_unchecked(a).src;
-    } while (y != x);
-    std::reverse(cycle.begin(), cycle.end());  // pred walk runs dst -> src
-
-    const Rational lambda = cycle_ratio(cycle, value, transit);
-    if (!(lambda > best.lambda)) {
-      throw SolverError("scenario cycle ratio: λ did not strictly increase (invariant breach)");
-    }
-    best.lambda = lambda;
-    best.arcs = std::move(cycle);
-  }
-  throw SolverError("scenario cycle ratio: iteration guard exceeded");
 }
 
 /// Rotates a cycle's arcs so the smallest source state comes first — a
@@ -300,39 +192,24 @@ ScenarioAnalysis scenario_worst_case(const ScenarioGraph& s, std::vector<Analysi
     transit[a] = from.iterations;
   }
 
-  // Cycles live inside SCCs; only reachable ones matter (reachability is
-  // forward-closed, so a cycle touching a reachable state is fully
-  // reachable, and an SCC is reachable iff any member is).
-  const SccResult scc = strongly_connected_components(fsm);
-  std::vector<std::vector<std::int32_t>> comp_nodes(
-      static_cast<std::size_t>(scc.component_count));
-  std::vector<std::vector<std::int32_t>> comp_arcs(static_cast<std::size_t>(scc.component_count));
-  for (std::int32_t v = 0; v < fsm.node_count(); ++v) {
-    comp_nodes[static_cast<std::size_t>(scc.component_of[static_cast<std::size_t>(v)])].push_back(
-        v);
-  }
-  for (std::int32_t a = 0; a < fsm.arc_count(); ++a) {
-    const Digraph::Arc& arc = fsm.arc_unchecked(a);
-    const std::int32_t c = scc.component_of[static_cast<std::size_t>(arc.src)];
-    if (c == scc.component_of[static_cast<std::size_t>(arc.dst)]) {
-      comp_arcs[static_cast<std::size_t>(c)].push_back(a);
+  // Exact max cycle ratio over reachable cycles by cycle-cancelling on the
+  // shared positive-cycle kernel (mcrp/cycle_ratio.hpp). Reachability is
+  // forward-closed, so a cycle is wholly reachable or wholly unreachable;
+  // weight -1 on every transition leaving an unreachable state keeps
+  // unreachable cycles negative.
+  std::vector<Rational> weight(value.size());
+  McrpScratch scratch;
+  auto positive_cycle_at = [&](const Rational& lambda) {
+    for (std::size_t a = 0; a < weight.size(); ++a) {
+      weight[a] = out.reachable[static_cast<std::size_t>(s.transitions[a].from)] != 0
+                      ? value[a] - lambda * Rational{transit[a]}
+                      : Rational{-1};
     }
-  }
-
-  bool found_cycle = false;
-  CycleCandidate best;
-  for (std::int32_t c = 0; c < scc.component_count; ++c) {
-    const auto ci = static_cast<std::size_t>(c);
-    if (comp_arcs[ci].empty()) continue;  // no internal arc: no cycle here
-    if (out.reachable[static_cast<std::size_t>(comp_nodes[ci].front())] == 0) continue;
-    CycleCandidate cand = component_max_ratio(fsm, comp_nodes[ci], comp_arcs[ci], value, transit);
-    if (!found_cycle || cand.lambda > best.lambda) {
-      best = std::move(cand);
-      found_cycle = true;
-    }
-  }
-
-  if (!found_cycle) {
+    return has_positive_cycle(fsm, weight, scratch);
+  };
+  // At λ = -1 every reachable transition weighs value + transit >= 1, so a
+  // positive cycle exists iff a reachable cycle does.
+  if (!positive_cycle_at(Rational{-1})) {
     out.status = ScenarioStatus::NoCycle;
     out.worst_period = Rational{0};
     out.worst_throughput = Rational{0};
@@ -340,9 +217,23 @@ ScenarioAnalysis scenario_worst_case(const ScenarioGraph& s, std::vector<Analysi
     out.detail = detail.str();
     return out;
   }
-  if (best.lambda.is_zero()) {
-    // Every arc of the binding cycle is free: all its modes are rate-
-    // unconstrained and all its switches instantaneous.
+  // λ rises from 0 to the ratio of each positive cycle found under
+  // value - λ·transit; when none is left, λ is the maximum and the last
+  // cycle binds it. λ strictly increases through the finite set of
+  // simple-cycle ratios, so the loop terminates.
+  Rational lambda{0};
+  std::vector<std::int32_t> binding;
+  while (positive_cycle_at(lambda)) {
+    Rational next = cycle_ratio(scratch.bf_cycle, value, transit);
+    if (!(next > lambda)) {
+      throw SolverError("scenario cycle ratio: λ did not strictly increase (invariant breach)");
+    }
+    lambda = std::move(next);
+    binding.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
+  }
+  if (lambda.is_zero()) {
+    // Every reachable cycle is free: all its modes are rate-unconstrained
+    // and all its switches instantaneous.
     out.status = ScenarioStatus::Unbounded;
     out.worst_period = Rational{0};
     out.worst_throughput = Rational{0};
@@ -351,11 +242,11 @@ ScenarioAnalysis scenario_worst_case(const ScenarioGraph& s, std::vector<Analysi
     return out;
   }
 
-  canonicalize_cycle(fsm, best.arcs);
+  canonicalize_cycle(fsm, binding);
   out.status = ScenarioStatus::Bounded;
-  out.worst_period = best.lambda;
-  out.worst_throughput = best.lambda.reciprocal();
-  out.binding_transitions = std::move(best.arcs);
+  out.worst_period = lambda;
+  out.worst_throughput = lambda.reciprocal();
+  out.binding_transitions = std::move(binding);
   out.binding_cycle.reserve(out.binding_transitions.size());
   for (const std::int32_t a : out.binding_transitions) {
     out.binding_cycle.push_back(fsm.arc_unchecked(a).src);

@@ -24,8 +24,11 @@
 // λ* is the maximum cycle ratio of the FSM with arc value
 // iterations_src·Ω_src + delay and arc transit iterations_src — computed
 // here exactly (Rational arithmetic) by cycle-cancelling ratio iteration on
-// the existing CSR Digraph + SCC pass, so the reported binding cycle is the
-// slowest mode loop itself, not a float approximation of it.
+// the shared exact positive-cycle kernel (has_positive_cycle,
+// mcrp/cycle_ratio.hpp), so the reported binding cycle is the slowest mode
+// loop itself, not a float approximation of it. When several cycles tie
+// for the maximum, which of them is reported is deterministic but
+// unspecified; worst_period does not depend on it.
 //
 // The bound is sound for the self-timed execution semantics of
 // scenario/simulate.hpp (modes run to quiescence, then switch): n complete

@@ -1,7 +1,12 @@
 // Tests for the MCRP solvers: the exact cycle-ratio engine, Howard's
 // policy iteration and Karp's max cycle mean, cross-checked on random
-// instances.
+// instances, and the exact positive-cycle kernel (has_positive_cycle)
+// against the optimal ratio and brute-force cycle enumeration.
 #include <gtest/gtest.h>
+
+#include <array>
+#include <optional>
+#include <vector>
 
 #include "mcrp/cycle_ratio.hpp"
 #include "mcrp/howard.hpp"
@@ -242,6 +247,184 @@ TEST(CycleRatio, ExactModeMatchesAccelerated) {
     expect_cycle_certifies(g, slow);
   }
   EXPECT_GT(infeasible_seen, 0);  // the sweep exercised the Infeasible path
+}
+
+TEST(CycleRatio, ExhaustingMaxIterationsThrows) {
+  // Loops of ratio 1 and 3: the exact phase needs two improvements from
+  // λ = 0, so a bound of 0 or 1 must not yield a (wrong) Optimal ratio.
+  BivaluedGraph g(2);
+  g.add_arc(0, 0, 1, Rational{1});
+  g.add_arc(1, 1, 3, Rational{1});
+  for (const bool potentials : {false, true}) {
+    McrpOptions opt;
+    opt.accelerate_with_double = false;
+    opt.compute_potentials = potentials;
+    for (const int bound : {0, 1}) {
+      opt.max_iterations = bound;
+      EXPECT_THROW((void)solve_max_cycle_ratio(g, opt), SolverError) << "bound " << bound;
+    }
+    opt.max_iterations = 100;
+    const McrpResult r = solve_max_cycle_ratio(g, opt);
+    ASSERT_EQ(r.status, McrpStatus::Optimal);
+    EXPECT_EQ(r.ratio, Rational{3});
+  }
+}
+
+/// Digraph with the same arcs as `bg`, for the plain-Digraph overload.
+Digraph plain_copy(const BivaluedGraph& bg) {
+  Digraph g(bg.node_count());
+  for (const Digraph::Arc& a : bg.graph().arcs()) g.add_arc(a.src, a.dst);
+  return g;
+}
+
+/// Total weight of `cycle` after checking it is a closed walk of `g`.
+Rational closed_cycle_weight(const Digraph& g, const std::vector<std::int32_t>& cycle,
+                             const std::vector<Rational>& w) {
+  EXPECT_FALSE(cycle.empty());
+  Rational sum{0};
+  for (std::size_t i = 0; i < cycle.size(); ++i) {
+    EXPECT_EQ(g.arc(cycle[i]).dst, g.arc(cycle[(i + 1) % cycle.size()]).src);
+    sum += w[static_cast<std::size_t>(cycle[i])];
+  }
+  return sum;
+}
+
+TEST(PositiveCycle, DecidesEveryCircuitBelowTheOptimalRatio) {
+  // At λ < λ* the critical circuit is positive under L - λ·H; at λ >= λ*
+  // no circuit is. One scratch serves every probe on a graph (warm core
+  // reuse via the layout stamp), a fresh one the Digraph overload.
+  Rng rng(4242);
+  int checks = 0;
+  for (int round = 0; round < 200; ++round) {
+    const auto n = static_cast<std::int32_t>(rng.uniform(1, 12));
+    BivaluedGraph g(n);
+    const i64 arcs = rng.uniform(n, 3 * n);
+    for (i64 i = 0; i < arcs; ++i) {
+      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
+                static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(0, 15),
+                Rational::of(rng.uniform(1, 9), rng.uniform(1, 4)));
+    }
+    const McrpResult r = solve_max_cycle_ratio(g);
+    if (r.status != McrpStatus::Optimal) continue;
+    const Digraph plain = plain_copy(g);
+    McrpScratch scratch;
+    std::vector<Rational> w(static_cast<std::size_t>(g.arc_count()));
+    for (const Rational& delta : {Rational::of(-1, 7), Rational{0}, Rational::of(1, 5)}) {
+      const Rational lambda = r.ratio + delta;
+      for (std::int32_t a = 0; a < g.arc_count(); ++a) {
+        w[static_cast<std::size_t>(a)] = Rational{g.cost(a)} - lambda * g.time(a);
+      }
+      const bool expected = delta.sign() < 0;
+      ASSERT_EQ(has_positive_cycle(g, w, scratch), expected) << "round " << round;
+      if (expected) {
+        EXPECT_GT(closed_cycle_weight(g.graph(), scratch.bf_cycle, w), Rational{0});
+      }
+      McrpScratch cold;
+      ASSERT_EQ(has_positive_cycle(plain, w, cold), expected) << "round " << round;
+      if (expected) EXPECT_GT(closed_cycle_weight(plain, cold.bf_cycle, w), Rational{0});
+      ++checks;
+    }
+  }
+  EXPECT_GT(checks, 300);
+}
+
+TEST(PositiveCycle, WitnessFoundAfterParentLinksAreOverwritten) {
+  // On this graph the relaxation reaches a walk of n arcs after later
+  // relaxations already overwrote the parent links of its positive loop;
+  // the search must relax on until the parent graph holds a cycle again.
+  const std::vector<std::array<i64, 4>> arcs = {
+      {0, 1, 19, 2}, {2, 1, 12, 1}, {1, 1, 1, 2},  {0, 1, 11, 1}, {1, 3, 5, 1},
+      {1, 1, -10, 3}, {3, 0, 19, 2}, {3, 2, -6, 1}, {0, 2, -5, 1}, {2, 0, 7, 2}};
+  BivaluedGraph g(4);
+  std::vector<Rational> w;
+  for (const auto& [src, dst, num, den] : arcs) {
+    g.add_arc(static_cast<std::int32_t>(src), static_cast<std::int32_t>(dst), 0, Rational{1});
+    w.push_back(Rational::of(num, den));
+  }
+  McrpScratch scratch;
+  ASSERT_TRUE(has_positive_cycle(g, w, scratch));
+  EXPECT_GT(closed_cycle_weight(g.graph(), scratch.bf_cycle, w), Rational{0});
+  McrpScratch plain_scratch;
+  ASSERT_TRUE(has_positive_cycle(plain_copy(g), w, plain_scratch));
+  EXPECT_GT(closed_cycle_weight(g.graph(), plain_scratch.bf_cycle, w), Rational{0});
+}
+
+/// Max total weight over the simple cycles of `g` (nullopt if acyclic), by
+/// enumerating every arc path that closes at its smallest node.
+std::optional<Rational> brute_max_cycle_weight(const Digraph& g, const std::vector<Rational>& w) {
+  std::optional<Rational> best;
+  std::vector<std::int8_t> on_path(static_cast<std::size_t>(g.node_count()), 0);
+  const auto dfs = [&](const auto& self, std::int32_t start, std::int32_t v,
+                       const Rational& sum) -> void {
+    for (const std::int32_t a : g.out_arcs(v)) {
+      const std::int32_t d = g.arc(a).dst;
+      const Rational next = sum + w[static_cast<std::size_t>(a)];
+      if (d == start) {
+        if (!best || next > *best) best = next;
+      } else if (d > start && on_path[static_cast<std::size_t>(d)] == 0) {
+        on_path[static_cast<std::size_t>(d)] = 1;
+        self(self, start, d, next);
+        on_path[static_cast<std::size_t>(d)] = 0;
+      }
+    }
+  };
+  for (std::int32_t s = 0; s < g.node_count(); ++s) {
+    on_path[static_cast<std::size_t>(s)] = 1;
+    dfs(dfs, s, s, Rational{0});
+    on_path[static_cast<std::size_t>(s)] = 0;
+  }
+  return best;
+}
+
+TEST(PositiveCycle, RationalFallbackMatchesBruteForce) {
+  // Weights r/p with a distinct prime p > 2^25 per arc: with >= 6 arcs in
+  // the one SCC the common denominator exceeds 2^150, so the scaled-i128
+  // path cannot run and the Rational labels decide.
+  std::vector<i64> primes;
+  for (i64 c = (i64{1} << 25) + 1; primes.size() < 10; c += 2) {
+    bool prime = true;
+    for (i64 f = 3; f * f <= c && prime; f += 2) prime = c % f != 0;
+    if (prime) primes.push_back(c);
+  }
+  Rng rng(2718);
+  int positive = 0;
+  for (int round = 0; round < 500; ++round) {
+    BivaluedGraph g(4);
+    for (std::int32_t v = 0; v < 4; ++v) g.add_arc(v, (v + 1) % 4, 0, Rational{1});
+    const i64 extra = rng.uniform(2, 6);
+    for (i64 i = 0; i < extra; ++i) {
+      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, 3)),
+                static_cast<std::int32_t>(rng.uniform(0, 3)), 0, Rational{1});
+    }
+    std::vector<i64> dens = primes;
+    for (std::size_t i = dens.size() - 1; i > 0; --i) {
+      std::swap(dens[i], dens[static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(i)))]);
+    }
+    std::vector<Rational> w;
+    for (std::int32_t a = 0; a < g.arc_count(); ++a) {
+      const i64 p = dens[static_cast<std::size_t>(a)];
+      w.push_back(Rational::of(rng.uniform(-2 * p, p), p));
+    }
+    EXPECT_THROW(
+        {
+          i128 common = 1;
+          for (const Rational& x : w) common = lcm128(common, x.den());
+        },
+        OverflowError);
+
+    const std::optional<Rational> best = brute_max_cycle_weight(g.graph(), w);
+    ASSERT_TRUE(best.has_value());  // the ring is a cycle
+    const bool expected = best->sign() > 0;
+    positive += expected;
+    McrpScratch scratch;
+    ASSERT_EQ(has_positive_cycle(g, w, scratch), expected) << "round " << round;
+    if (expected) EXPECT_GT(closed_cycle_weight(g.graph(), scratch.bf_cycle, w), Rational{0});
+    McrpScratch plain_scratch;
+    EXPECT_EQ(has_positive_cycle(plain_copy(g), w, plain_scratch), expected) << "round " << round;
+  }
+  // Both verdicts were exercised.
+  EXPECT_GT(positive, 50);
+  EXPECT_LT(positive, 450);
 }
 
 TEST(Howard, SelfLoop) {

@@ -13,8 +13,12 @@
 //      {0,2,5} and bit-identical warm vs cold; on >= 50 random scenarios
 //      the mode-sequence simulator never observes throughput above the
 //      analytic worst-case bound (binding-cycle replays AND random walks).
+//   6. The combine step against a brute-force cycle enumeration on 3000
+//      random FSMs: verdict, exact worst period and a realizing binding
+//      cycle.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -350,6 +354,123 @@ TEST(Scenario, SimulatorNeverBeatsWorstCaseBoundOnRandomScenarios) {
         << "seed " << seed;
     ++checked;
   }
+}
+
+/// Brute-force oracle for scenario_worst_case's cycle pass: the max ratio
+/// Σ value / Σ transit over every simple cycle through reachable states
+/// (nullopt when none), by enumerating the transition paths that close at
+/// their smallest state.
+std::optional<Rational> brute_worst_period(const ScenarioGraph& s,
+                                           const std::vector<Rational>& omega,
+                                           const std::vector<std::uint8_t>& reachable) {
+  std::optional<Rational> best;
+  std::vector<std::int8_t> on_path(static_cast<std::size_t>(s.state_count()), 0);
+  const auto dfs = [&](const auto& self, std::int32_t start, std::int32_t v, const Rational& value,
+                       i64 transit) -> void {
+    for (const ScenarioTransition& t : s.transitions) {
+      if (t.from != v) continue;
+      const i64 dwell = s.states[static_cast<std::size_t>(v)].iterations;
+      const Rational next_value = value + Rational{dwell} * omega[static_cast<std::size_t>(v)] +
+                                  Rational{t.delay};
+      const i64 next_transit = transit + dwell;
+      if (t.to == start) {
+        const Rational ratio = next_value / Rational{next_transit};
+        if (!best || ratio > *best) best = ratio;
+      } else if (t.to > start && on_path[static_cast<std::size_t>(t.to)] == 0) {
+        on_path[static_cast<std::size_t>(t.to)] = 1;
+        self(self, start, t.to, next_value, next_transit);
+        on_path[static_cast<std::size_t>(t.to)] = 0;
+      }
+    }
+  };
+  for (std::int32_t v = 0; v < s.state_count(); ++v) {
+    if (reachable[static_cast<std::size_t>(v)] == 0) continue;
+    on_path[static_cast<std::size_t>(v)] = 1;
+    dfs(dfs, v, v, Rational{0}, 0);
+    on_path[static_cast<std::size_t>(v)] = 0;
+  }
+  return best;
+}
+
+TEST(Scenario, WorstCaseMatchesBruteForceOnRandomFsms) {
+  // Random FSMs with self-loops and parallel transitions over hand-built
+  // per-state analyses (exact Ω with small denominators, or Unbounded);
+  // the combine step must reproduce the enumerated verdict and period, and
+  // report a binding cycle that realizes it.
+  Rng rng(1404);
+  int bounded = 0;
+  int unbounded = 0;
+  int no_cycle = 0;
+  for (int round = 0; round < 3000; ++round) {
+    ScenarioGraph s;
+    s.base = single_task_base(1);
+    const auto n = static_cast<std::int32_t>(rng.uniform(1, 6));
+    std::vector<Analysis> per_state(static_cast<std::size_t>(n));
+    std::vector<Rational> omega(static_cast<std::size_t>(n), Rational{0});
+    for (std::int32_t v = 0; v < n; ++v) {
+      (void)s.add_state("m" + std::to_string(v), {}, rng.uniform(1, 3));
+      Analysis& a = per_state[static_cast<std::size_t>(v)];
+      if (rng.chance(1, 4)) {
+        a.outcome = Outcome::Unbounded;
+      } else {
+        a.outcome = Outcome::Value;
+        a.quality = Quality::Exact;
+        a.period = Rational::of(rng.uniform(1, 40), rng.uniform(1, 7));
+        a.throughput = a.period.reciprocal();
+        omega[static_cast<std::size_t>(v)] = a.period;
+      }
+    }
+    const i64 transitions = rng.uniform(0, 10);
+    for (i64 i = 0; i < transitions; ++i) {
+      (void)s.add_transition(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
+                             static_cast<std::int32_t>(rng.uniform(0, n - 1)),
+                             rng.chance(1, 3) ? 0 : rng.uniform(0, 25));
+    }
+    s.initial_state = static_cast<std::int32_t>(rng.uniform(0, n - 1));
+
+    const ScenarioAnalysis got = scenario_worst_case(s, per_state);
+    const std::string ctx = "round " + std::to_string(round);
+    const std::optional<Rational> want = brute_worst_period(s, omega, got.reachable);
+    if (!want) {
+      EXPECT_EQ(got.status, ScenarioStatus::NoCycle) << ctx;
+      ++no_cycle;
+      continue;
+    }
+    if (want->is_zero()) {
+      EXPECT_EQ(got.status, ScenarioStatus::Unbounded) << ctx;
+      ++unbounded;
+      continue;
+    }
+    ++bounded;
+    ASSERT_EQ(got.status, ScenarioStatus::Bounded) << ctx;
+    EXPECT_EQ(got.worst_period, *want) << ctx;
+    EXPECT_EQ(got.worst_throughput, want->reciprocal()) << ctx;
+
+    // The binding cycle: closed, consistent with binding_transitions, on
+    // reachable states, rotated to its smallest state, and its own ratio
+    // is the reported period.
+    const std::vector<std::int32_t>& ts = got.binding_transitions;
+    ASSERT_FALSE(ts.empty()) << ctx;
+    ASSERT_EQ(got.binding_cycle.size(), ts.size()) << ctx;
+    Rational value{0};
+    i64 transit = 0;
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      const ScenarioTransition& t = s.transitions[static_cast<std::size_t>(ts[i])];
+      const std::int32_t v = got.binding_cycle[i];
+      EXPECT_EQ(t.from, v) << ctx;
+      EXPECT_EQ(t.to, got.binding_cycle[(i + 1) % ts.size()]) << ctx;
+      EXPECT_EQ(got.reachable[static_cast<std::size_t>(v)], 1) << ctx;
+      EXPECT_GE(v, got.binding_cycle.front()) << ctx;
+      const i64 dwell = s.states[static_cast<std::size_t>(v)].iterations;
+      value += Rational{dwell} * omega[static_cast<std::size_t>(v)] + Rational{t.delay};
+      transit += dwell;
+    }
+    EXPECT_EQ(value / Rational{transit}, got.worst_period) << ctx;
+  }
+  // Every verdict was exercised.
+  EXPECT_GT(bounded, 1000);
+  EXPECT_GT(unbounded, 10);
+  EXPECT_GT(no_cycle, 500);
 }
 
 }  // namespace
