@@ -1,8 +1,8 @@
 #include "api/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "core/constraints.hpp"
@@ -16,29 +16,42 @@ namespace kp {
 
 namespace {
 
-std::string k_to_string(const std::vector<i64>& k) {
-  // Compact rendering: "1^12" for all-ones, else the few non-1 entries.
-  std::ostringstream os;
+/// Appends the decimal rendering of `v` — what `std::ostream << v` prints.
+template <class Int>
+void append_int(std::string& out, Int v) {
+  char buf[24];
+  const auto end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+  out.append(buf, end);
+}
+
+void append_k(std::string& out, const std::vector<i64>& k) {
+  // Compact rendering: "K=1" for all-ones, else the few non-1 entries,
+  // cut with ",..." once the rendering passes 60 characters.
   std::size_t ones = 0;
   for (const i64 v : k) ones += (v == 1);
   if (ones == k.size()) {
-    os << "K=1";
-    return os.str();
+    out += "K=1";
+    return;
   }
-  os << "K={";
+  const std::size_t start = out.size();
+  out += "K={";
   bool first = true;
   for (std::size_t i = 0; i < k.size(); ++i) {
     if (k[i] == 1) continue;
-    if (!first) os << ",";
-    os << "t" << i << ":" << k[i];
+    if (!first) out += ',';
+    out += 't';
+    append_int(out, i);
+    out += ':';
+    append_int(out, k[i]);
     first = false;
-    if (!first && os.tellp() > 60) {
-      os << ",...";
+    if (out.size() - start > 60) {
+      out += ",...";
       break;
     }
   }
-  os << "} (" << (k.size() - ones) << " tasks >1)";
-  return os.str();
+  out += "} (";
+  append_int(out, k.size() - ones);
+  out += " tasks >1)";
 }
 
 /// min of two budgets where < 0 means "unlimited".
@@ -69,6 +82,21 @@ bool cacheable_request(Method method, const AnalysisOptions& o, double deadline_
       return true;
   }
   return false;
+}
+
+/// The number of words append_options_words pushes for `method`; keep the
+/// two in step, or build_request_key's reservation stops being exact.
+std::size_t options_word_count(Method method) {
+  switch (method) {
+    case Method::KIter:
+      return 12;
+    case Method::Periodic:
+      return 6;
+    case Method::SymbolicExecution:
+    case Method::Expansion:
+      return 4;
+  }
+  return 0;
 }
 
 /// Every option that can influence a cacheable request's result, flattened
@@ -109,17 +137,6 @@ void append_options_words(Method method, const AnalysisOptions& o, std::vector<i
   }
 }
 
-/// The content-addressed identity of one request: option words + the exact
-/// graph snapshot (core/constraints.hpp). The digest routes to a cache
-/// stripe; equality is word-for-word.
-void build_request_key(const CsdfGraph& g, Method method, const AnalysisOptions& o,
-                       ContentKey& key) {
-  key.words.clear();
-  append_options_words(method, o, key.words);
-  append_content_snapshot(g, key.words);
-  key.finalize();
-}
-
 /// The caller's own poll hook (if any) chained behind the request's cancel
 /// flag; lives on the stack for the duration of one engine run. `hook` is
 /// the shared chaining predicate both K-Iter and the symbolic engine
@@ -157,8 +174,10 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
   }
 
   KIterResult r = kiter_throughput(g, compute_repetition_vector(g), kiter, ws);
-  std::ostringstream detail;
-  detail << "rounds=" << r.rounds << " " << k_to_string(r.k);
+  std::string detail = "rounds=";
+  append_int(detail, r.rounds);
+  detail += ' ';
+  append_k(detail, r.k);
   a.rounds = r.rounds;
   a.mcrp_iterations = r.mcrp_iterations;
   a.howard_iterations = r.howard_iterations;
@@ -184,13 +203,13 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
     case ThroughputStatus::ResourceLimit:
       if (r.cancelled) {
         a.outcome = Outcome::Budget;
-        detail << " (cancelled)";
+        detail += " (cancelled)";
       } else if (r.has_feasible_bound) {
         a.outcome = Outcome::Value;
         a.quality = Quality::AchievableBound;
         a.period = r.period;
         a.throughput = r.throughput;
-        detail << " (budget hit; best feasible bound reported)";
+        detail += " (budget hit; best feasible bound reported)";
       } else {
         a.outcome = Outcome::Budget;
       }
@@ -210,7 +229,7 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
       ws.reset_solver_warm_start();
     }
   }
-  a.detail = detail.str();
+  a.detail = std::move(detail);
   return a;
 }
 
@@ -257,15 +276,18 @@ Analysis run_symbolic(const CsdfGraph& g, const AnalysisOptions& options, double
     sim.poll_ctx = &chain;
   }
   const SimResult r = symbolic_execution_throughput(g, rv, sim);
-  std::ostringstream detail;
-  detail << "states=" << r.states_explored;
+  std::string detail = "states=";
+  append_int(detail, r.states_explored);
   switch (r.status) {
     case SimStatus::Periodic:
       a.outcome = Outcome::Value;
       a.quality = Quality::Exact;
       a.period = r.period;
       a.throughput = r.throughput;
-      detail << " transient=" << r.transient_time << " cycle=" << r.cycle_time;
+      detail += " transient=";
+      append_int(detail, r.transient_time);
+      detail += " cycle=";
+      append_int(detail, r.cycle_time);
       break;
     case SimStatus::Deadlock:
       a.outcome = Outcome::Deadlock;
@@ -275,10 +297,10 @@ Analysis run_symbolic(const CsdfGraph& g, const AnalysisOptions& options, double
       break;
     case SimStatus::Budget:
       a.outcome = Outcome::Budget;
-      if (cancel.cancelled()) detail << " (cancelled)";
+      if (cancel.cancelled()) detail += " (cancelled)";
       break;
   }
-  a.detail = detail.str();
+  a.detail = std::move(detail);
   return a;
 }
 
@@ -287,8 +309,10 @@ Analysis run_expansion(const CsdfGraph& g, const AnalysisOptions& options) {
   const RepetitionVector rv = compute_repetition_vector(g);
   const ExpansionResult r =
       expansion_throughput(g, rv, options.expansion_max_nodes, options.expansion_max_arcs);
-  std::ostringstream detail;
-  detail << "hsdf_nodes=" << r.nodes << " hsdf_arcs=" << r.arcs;
+  std::string detail = "hsdf_nodes=";
+  append_int(detail, r.nodes);
+  detail += " hsdf_arcs=";
+  append_int(detail, r.arcs);
   switch (r.status) {
     case ThroughputStatus::Optimal:
       a.outcome = Outcome::Value;
@@ -306,7 +330,7 @@ Analysis run_expansion(const CsdfGraph& g, const AnalysisOptions& options) {
       a.outcome = Outcome::Budget;
       break;
   }
-  a.detail = detail.str();
+  a.detail = std::move(detail);
   return a;
 }
 
@@ -818,10 +842,14 @@ std::vector<Analysis> ThroughputService::run_symbolic_variants(const VariantRun&
       s.critical_cycle = cert;
       s.critical_cycle.cycle_cost = certifier.numerator_at(p);
       s.critical_cycle.ratio = s.period;
-      std::ostringstream detail;
-      detail << "symbolic region anchor=" << i << " [" << i << ".." << end << "] "
-             << k_to_string(cert.k);
-      s.detail = detail.str();
+      s.detail = "symbolic region anchor=";
+      append_int(s.detail, i);
+      s.detail += " [";
+      append_int(s.detail, i);
+      s.detail += "..";
+      append_int(s.detail, end);
+      s.detail += "] ";
+      append_k(s.detail, cert.k);
       s.request_id = p;
       s.worker_id = worker_id;
       s.elapsed_ms = clock.elapsed_ms();
@@ -1026,6 +1054,15 @@ Analysis ThroughputService::wait(i64 ticket) {
   }
   if (job->error) std::rethrow_exception(job->error);
   return std::move(job->result);
+}
+
+void build_request_key(const CsdfGraph& g, Method method, const AnalysisOptions& o,
+                       ContentKey& key) {
+  key.words.clear();
+  key.words.reserve(options_word_count(method) + content_snapshot_size(g));
+  append_options_words(method, o, key.words);
+  append_content_snapshot(g, key.words);
+  key.finalize();
 }
 
 Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,

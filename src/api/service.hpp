@@ -132,7 +132,8 @@ class CancelToken {
 };
 
 /// One unit of work: a graph, the engine to run, its options, and the
-/// request-level controls (deadline, cancellation).
+/// request-level controls (deadline, cancellation). Building one copies no
+/// graph content: `graph = g` shares g's storage (model/csdf.hpp).
 struct AnalysisRequest {
   CsdfGraph graph;
   Method method = Method::KIter;
@@ -148,6 +149,14 @@ struct AnalysisRequest {
   /// A cancellable token makes the request uncacheable.
   CancelToken cancel{};
 };
+
+/// The result cache's exact identity for one request (see the header
+/// comment): the method and every option word that can influence a
+/// cacheable result, then append_content_snapshot(g). `key.words` is
+/// reserved to its exact final size first, so filling a fresh key costs one
+/// allocation; the digest is finalized.
+void build_request_key(const CsdfGraph& g, Method method, const AnalysisOptions& o,
+                       ContentKey& key);
 
 struct ServiceOptions {
   /// Worker threads. 0 = inline mode: no threads are spawned and every
@@ -336,18 +345,19 @@ class ThroughputService {
   /// off; per-state analyses are returned in ScenarioAnalysis::states.
   [[nodiscard]] ScenarioAnalysis analyze_scenario(const ScenarioRequest& request);
 
-  /// Async path: enqueue one request (the graph is moved in), returns the
-  /// ticket to pass to wait(). The request's content is snapshotted into
-  /// the job before submit() returns, so mutating the caller's graph
-  /// afterwards can neither change the analysis nor poison the result
-  /// cache. The job owns the moved-in graph, so the worker applies
-  /// options.serialize_tasks to it in place (serialize_tasks_in_place) — no
-  /// copy at all, unlike analyze_batch and analyze, which serialize a copy
-  /// of the caller's graph. The result-cache key is taken before that, from
-  /// the unserialized content, so a submitted request and an identical
-  /// batch or inline request share one cache entry. A cache hit completes
-  /// the ticket before submit() returns; in inline mode every request is
-  /// served synchronously.
+  /// Async path: enqueue one request, returns the ticket to pass to wait().
+  /// The job holds its own graph object, sharing the caller's storage
+  /// (copy-on-write, model/csdf.hpp), so mutating the caller's graph
+  /// afterwards detaches the caller and can neither change the analysis nor
+  /// poison the result cache. The worker applies options.serialize_tasks to
+  /// the job's graph in place (serialize_tasks_in_place), which detaches it
+  /// from the caller's storage exactly once — the only copy a submitted
+  /// request makes, and none when every task already has a self-loop. The
+  /// result-cache key is taken at submit time from the unserialized
+  /// content, so a submitted request and an identical batch or inline
+  /// request share one cache entry. A cache hit completes the ticket before
+  /// submit() returns; in inline mode every request is served
+  /// synchronously.
   i64 submit(AnalysisRequest request);
 
   /// Blocks until the submitted request finishes, returns its Analysis and

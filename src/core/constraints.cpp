@@ -362,6 +362,15 @@ void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words) {
   }
 }
 
+std::size_t content_snapshot_size(const CsdfGraph& g) noexcept {
+  // Two counts, then per task its phase count and durations, per buffer
+  // (src, dst, M0) and both rate vectors.
+  std::size_t n = 2;
+  for (const Task& t : g.tasks()) n += 1 + t.durations.size();
+  for (const Buffer& b : g.buffers()) n += 3 + b.prod.size() + b.cons.size();
+  return n;
+}
+
 std::vector<TaskId> ConstraintGraph::tasks_on_circuit(
     const std::vector<std::int32_t>& arc_ids) const {
   std::vector<std::int8_t> seen;

@@ -189,6 +189,10 @@ struct ConstraintGraphCache {
 /// cache hashes the words only to pick a lock stripe.
 void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words);
 
+/// The number of words append_content_snapshot(g, ...) appends, so a key
+/// buffer can be reserved to its exact size up front.
+[[nodiscard]] std::size_t content_snapshot_size(const CsdfGraph& g) noexcept;
+
 /// Builds the constraint graph for periodicity vector `k` (one entry per
 /// task, each >= 1). `rv` must be the repetition vector of `g` (consistent).
 [[nodiscard]] ConstraintGraph build_constraint_graph(const CsdfGraph& g,

@@ -4,6 +4,60 @@
 
 namespace kp {
 
+// ---- shared storage ---------------------------------------------------------
+//
+// The count is intrusive so that own() can decide uniqueness with an acquire
+// load: the last other owner drops its reference with a release decrement
+// (after its final read of the block), and the acquire load that sees the
+// count at one synchronizes with that decrement, so writing in place cannot
+// race those reads. No standalone fences: the decrement itself is acq_rel,
+// which ThreadSanitizer models.
+
+CsdfGraph::Data::Data(const Data& other)
+    : name(other.name),
+      tasks(other.tasks),
+      buffers(other.buffers),
+      out_by_task(other.out_by_task),
+      in_by_task(other.in_by_task) {}
+
+CsdfGraph::CsdfGraph(std::string name) : data_(new Data()) { data_->name = std::move(name); }
+
+CsdfGraph::CsdfGraph(const CsdfGraph& other) noexcept : data_(other.data_) {
+  if (data_ != nullptr) data_->refs.fetch_add(1, std::memory_order_relaxed);
+}
+
+CsdfGraph& CsdfGraph::operator=(const CsdfGraph& other) noexcept {
+  if (other.data_ != nullptr) other.data_->refs.fetch_add(1, std::memory_order_relaxed);
+  release(std::exchange(data_, other.data_));
+  return *this;
+}
+
+CsdfGraph& CsdfGraph::operator=(CsdfGraph&& other) noexcept {
+  if (this != &other) release(std::exchange(data_, std::exchange(other.data_, nullptr)));
+  return *this;
+}
+
+void CsdfGraph::release(Data* data) noexcept {
+  if (data != nullptr && data->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) delete data;
+}
+
+const CsdfGraph::Data& CsdfGraph::empty_data() noexcept {
+  static const Data empty;
+  return empty;
+}
+
+CsdfGraph::Data& CsdfGraph::own(Detached& detached) {
+  if (data_ == nullptr) {
+    data_ = new Data();
+  } else if (data_->refs.load(std::memory_order_acquire) != 1) {
+    Data* fresh = new Data(*data_);
+    detached.data = std::exchange(data_, fresh);
+  }
+  return *data_;
+}
+
+// ---- construction -----------------------------------------------------------
+
 TaskId CsdfGraph::add_task(std::string name, std::vector<i64> phase_durations) {
   if (name.empty()) throw ModelError("task name must be non-empty");
   if (find_task(name)) throw ModelError("duplicate task name '" + name + "'");
@@ -11,9 +65,11 @@ TaskId CsdfGraph::add_task(std::string name, std::vector<i64> phase_durations) {
   for (const i64 d : phase_durations) {
     if (d < 0) throw ModelError("task '" + name + "' has a negative phase duration");
   }
-  tasks_.push_back(Task{std::move(name), std::move(phase_durations)});
-  out_by_task_.emplace_back();
-  in_by_task_.emplace_back();
+  Detached detached;
+  Data& data = own(detached);
+  data.tasks.push_back(Task{std::move(name), std::move(phase_durations)});
+  data.out_by_task.emplace_back();
+  data.in_by_task.emplace_back();
   return task_count() - 1;
 }
 
@@ -59,10 +115,13 @@ BufferId CsdfGraph::add_buffer(std::string name, TaskId src, TaskId dst, std::ve
   if (b.total_prod <= 0) throw ModelError("buffer '" + b.name + "': i_b must be positive");
   if (b.total_cons <= 0) throw ModelError("buffer '" + b.name + "': o_b must be positive");
 
-  buffers_.push_back(std::move(b));
+  // `s` and `d` name the pre-own() block: not used past this point.
+  Detached detached;
+  Data& data = own(detached);
+  data.buffers.push_back(std::move(b));
   const BufferId id = buffer_count() - 1;
-  out_by_task_[static_cast<std::size_t>(src)].push_back(id);
-  in_by_task_[static_cast<std::size_t>(dst)].push_back(id);
+  data.out_by_task[static_cast<std::size_t>(src)].push_back(id);
+  data.in_by_task[static_cast<std::size_t>(dst)].push_back(id);
   return id;
 }
 
@@ -85,14 +144,16 @@ void CsdfGraph::set_durations(TaskId t, std::span<const i64> durations) {
   for (const i64 d : durations) {
     if (d < 0) throw ModelError("set_durations: task '" + tk.name + "' given a negative duration");
   }
-  auto& dst = tasks_[static_cast<std::size_t>(t)].durations;
-  dst.assign(durations.begin(), durations.end());
+  Detached detached;
+  own(detached).tasks[static_cast<std::size_t>(t)].durations.assign(durations.begin(),
+                                                                    durations.end());
 }
 
 void CsdfGraph::set_initial_tokens(BufferId b, i64 tokens) {
   const Buffer& buf = buffer(b);  // bounds check
   if (tokens < 0) throw ModelError("set_initial_tokens: buffer '" + buf.name + "': negative marking");
-  buffers_[static_cast<std::size_t>(b)].initial_tokens = tokens;
+  Detached detached;
+  own(detached).buffers[static_cast<std::size_t>(b)].initial_tokens = tokens;
 }
 
 void CsdfGraph::set_rates(BufferId b, std::span<const i64> prod, std::span<const i64> cons) {
@@ -107,21 +168,22 @@ void CsdfGraph::set_rates(BufferId b, std::span<const i64> prod, std::span<const
                      std::to_string(cons.size()) + " != phi(dst) = " +
                      std::to_string(ref.cons.size()));
   }
-  Buffer& buf = buffers_[static_cast<std::size_t>(b)];
   // Validate before mutating so a throw leaves the buffer untouched.
   i64 total_prod = 0;
   for (const i64 r : prod) {
-    if (r < 0) throw ModelError("set_rates: buffer '" + buf.name + "': negative production rate");
+    if (r < 0) throw ModelError("set_rates: buffer '" + ref.name + "': negative production rate");
     total_prod = checked_add(total_prod, r);
   }
   i64 total_cons = 0;
   for (const i64 r : cons) {
-    if (r < 0) throw ModelError("set_rates: buffer '" + buf.name + "': negative consumption rate");
+    if (r < 0) throw ModelError("set_rates: buffer '" + ref.name + "': negative consumption rate");
     total_cons = checked_add(total_cons, r);
   }
-  if (total_prod <= 0) throw ModelError("set_rates: buffer '" + buf.name + "': i_b must be positive");
-  if (total_cons <= 0) throw ModelError("set_rates: buffer '" + buf.name + "': o_b must be positive");
+  if (total_prod <= 0) throw ModelError("set_rates: buffer '" + ref.name + "': i_b must be positive");
+  if (total_cons <= 0) throw ModelError("set_rates: buffer '" + ref.name + "': o_b must be positive");
 
+  Detached detached;
+  Buffer& buf = own(detached).buffers[static_cast<std::size_t>(b)];
   buf.prod.assign(prod.begin(), prod.end());
   buf.cons.assign(cons.begin(), cons.end());
   buf.total_prod = total_prod;
@@ -134,14 +196,21 @@ void CsdfGraph::set_rates(BufferId b, std::span<const i64> prod, std::span<const
   }
 }
 
+void CsdfGraph::set_name(std::string n) {
+  Detached detached;
+  own(detached).name = std::move(n);
+}
+
+// ---- access -----------------------------------------------------------------
+
 const Task& CsdfGraph::task(TaskId t) const {
   if (t < 0 || t >= task_count()) throw ModelError("bad task id " + std::to_string(t));
-  return tasks_[static_cast<std::size_t>(t)];
+  return data_->tasks[static_cast<std::size_t>(t)];
 }
 
 const Buffer& CsdfGraph::buffer(BufferId b) const {
   if (b < 0 || b >= buffer_count()) throw ModelError("bad buffer id " + std::to_string(b));
-  return buffers_[static_cast<std::size_t>(b)];
+  return data_->buffers[static_cast<std::size_t>(b)];
 }
 
 i64 CsdfGraph::duration(TaskId t, std::int32_t phase) const {
@@ -154,17 +223,18 @@ i64 CsdfGraph::duration(TaskId t, std::int32_t phase) const {
 
 const std::vector<BufferId>& CsdfGraph::out_buffers(TaskId t) const {
   (void)task(t);  // bounds check
-  return out_by_task_[static_cast<std::size_t>(t)];
+  return data_->out_by_task[static_cast<std::size_t>(t)];
 }
 
 const std::vector<BufferId>& CsdfGraph::in_buffers(TaskId t) const {
   (void)task(t);  // bounds check
-  return in_by_task_[static_cast<std::size_t>(t)];
+  return data_->in_by_task[static_cast<std::size_t>(t)];
 }
 
 std::optional<TaskId> CsdfGraph::find_task(std::string_view name) const noexcept {
-  for (TaskId t = 0; t < task_count(); ++t) {
-    if (tasks_[static_cast<std::size_t>(t)].name == name) return t;
+  const std::vector<Task>& ts = tasks();
+  for (std::size_t t = 0; t < ts.size(); ++t) {
+    if (ts[t].name == name) return static_cast<TaskId>(t);
   }
   return std::nullopt;
 }
@@ -188,20 +258,20 @@ i128 CsdfGraph::consumed_until(BufferId b, std::int32_t p, i128 n) const {
 }
 
 bool CsdfGraph::is_sdf() const noexcept {
-  return std::all_of(tasks_.begin(), tasks_.end(),
+  return std::all_of(tasks().begin(), tasks().end(),
                      [](const Task& t) { return t.phases() == 1; });
 }
 
 bool CsdfGraph::is_hsdf() const noexcept {
   if (!is_sdf()) return false;
-  return std::all_of(buffers_.begin(), buffers_.end(), [](const Buffer& b) {
+  return std::all_of(buffers().begin(), buffers().end(), [](const Buffer& b) {
     return b.total_prod == 1 && b.total_cons == 1;
   });
 }
 
 i64 CsdfGraph::total_phases() const noexcept {
   i64 sum = 0;
-  for (const auto& t : tasks_) sum += t.phases();
+  for (const auto& t : tasks()) sum += t.phases();
   return sum;
 }
 

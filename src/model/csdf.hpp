@@ -8,13 +8,27 @@
 //
 // An SDF graph is the single-phase special case; HSDF additionally has all
 // rates equal to one.
+//
+// CsdfGraph is a value type with shared, copy-on-write storage. A copy is
+// O(1): it shares the source's storage and allocates nothing. The first
+// mutation of a graph whose storage is shared detaches it (one deep copy);
+// later mutations of the now-unique graph work in place. A reference
+// returned by an accessor (task(), buffers(), name(), ...) stays valid until
+// that same graph object is mutated or destroyed. Thread-safety is as for
+// std::string: distinct graph objects — copies of one another included —
+// may be read, mutated and destroyed concurrently on distinct threads, but
+// one graph object must never be mutated concurrently with any other use.
+// A default-constructed or moved-from graph holds no storage and reads as
+// the empty graph named "csdf".
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "util/checked.hpp"
@@ -56,8 +70,13 @@ struct Buffer {
 
 class CsdfGraph {
  public:
-  CsdfGraph() = default;
-  explicit CsdfGraph(std::string name) : name_(std::move(name)) {}
+  CsdfGraph() noexcept = default;
+  explicit CsdfGraph(std::string name);
+  CsdfGraph(const CsdfGraph& other) noexcept;
+  CsdfGraph(CsdfGraph&& other) noexcept : data_(std::exchange(other.data_, nullptr)) {}
+  CsdfGraph& operator=(const CsdfGraph& other) noexcept;
+  CsdfGraph& operator=(CsdfGraph&& other) noexcept;
+  ~CsdfGraph() { release(data_); }
 
   // ---- construction ------------------------------------------------------
 
@@ -82,8 +101,9 @@ class CsdfGraph {
 
   // ---- parametric mutation (model/transform.hpp, GraphDelta) --------------
   // Design-space exploration perturbs one knob of an otherwise-fixed graph
-  // thousands of times; these setters mutate in place (retaining every
-  // vector's storage) instead of forcing a full-graph copy per variant.
+  // thousands of times; on an unshared graph these setters mutate in place
+  // (retaining every vector's storage) instead of forcing a full-graph copy
+  // per variant.
   // None of them may change the graph's shape: phase counts, task/buffer
   // counts and endpoints are construction-time decisions.
 
@@ -100,20 +120,20 @@ class CsdfGraph {
 
   // ---- access --------------------------------------------------------------
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  void set_name(std::string n) { name_ = std::move(n); }
+  [[nodiscard]] const std::string& name() const noexcept { return view().name; }
+  void set_name(std::string n);
 
   [[nodiscard]] std::int32_t task_count() const noexcept {
-    return static_cast<std::int32_t>(tasks_.size());
+    return data_ != nullptr ? static_cast<std::int32_t>(data_->tasks.size()) : 0;
   }
   [[nodiscard]] std::int32_t buffer_count() const noexcept {
-    return static_cast<std::int32_t>(buffers_.size());
+    return data_ != nullptr ? static_cast<std::int32_t>(data_->buffers.size()) : 0;
   }
 
   [[nodiscard]] const Task& task(TaskId t) const;
   [[nodiscard]] const Buffer& buffer(BufferId b) const;
-  [[nodiscard]] const std::vector<Task>& tasks() const noexcept { return tasks_; }
-  [[nodiscard]] const std::vector<Buffer>& buffers() const noexcept { return buffers_; }
+  [[nodiscard]] const std::vector<Task>& tasks() const noexcept { return view().tasks; }
+  [[nodiscard]] const std::vector<Buffer>& buffers() const noexcept { return view().buffers; }
 
   [[nodiscard]] std::int32_t phases(TaskId t) const { return task(t).phases(); }
 
@@ -146,11 +166,46 @@ class CsdfGraph {
   [[nodiscard]] i64 total_phases() const noexcept;
 
  private:
-  std::string name_{"csdf"};
-  std::vector<Task> tasks_;
-  std::vector<Buffer> buffers_;
-  std::vector<std::vector<BufferId>> out_by_task_;
-  std::vector<std::vector<BufferId>> in_by_task_;
+  /// The shared storage block. `refs` counts the graphs pointing at it; a
+  /// clone starts with a count of one.
+  struct Data {
+    std::atomic<std::uint32_t> refs{1};
+    std::string name{"csdf"};
+    std::vector<Task> tasks;
+    std::vector<Buffer> buffers;
+    std::vector<std::vector<BufferId>> out_by_task;
+    std::vector<std::vector<BufferId>> in_by_task;
+
+    Data() = default;
+    Data(const Data& other);
+    Data& operator=(const Data&) = delete;
+  };
+
+  /// Holds the reference to the block a mutator detached from until the
+  /// mutator returns, so arguments that alias the old storage (a span of
+  /// this graph's own durations, say) stay valid for the whole call.
+  struct Detached {
+    Data* data = nullptr;
+    ~Detached() { release(data); }
+  };
+
+  /// The storage every accessor reads; a shared empty block when there is
+  /// none.
+  [[nodiscard]] const Data& view() const noexcept {
+    return data_ != nullptr ? *data_ : empty_data();
+  }
+  [[nodiscard]] static const Data& empty_data() noexcept;
+
+  /// Makes this graph the sole owner of its storage and returns it: clones
+  /// the block when it is shared (handing the old reference to `detached`)
+  /// and allocates one when there is none. Every mutator validates first,
+  /// then calls own(), then writes only through the returned block: a
+  /// reference taken from the graph before own() names the old block.
+  Data& own(Detached& detached);
+
+  static void release(Data* data) noexcept;
+
+  Data* data_ = nullptr;
 };
 
 }  // namespace kp

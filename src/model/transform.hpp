@@ -25,8 +25,10 @@ namespace kp {
 /// with unit rates on every phase and a single initial token, appended in
 /// task order. The resulting execution semantics: one phase of a task at a
 /// time, iterations in order. Existing tasks and buffers keep their ids and
-/// content, so a graph that owns its request (ThroughputService::submit) is
-/// serialized without any copy. Idempotent.
+/// content. On a graph that shares its storage (a request's copy of the
+/// caller's graph, say) the first added buffer detaches it once; a graph
+/// whose tasks all have self-loops is left untouched and stays shared.
+/// Idempotent.
 void serialize_tasks_in_place(CsdfGraph& g);
 
 /// A copy of g with serialize_tasks_in_place applied; g is left unchanged.

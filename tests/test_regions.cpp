@@ -20,7 +20,8 @@
 //   6. A multi-task ray driving every duration to zero hits the Unbounded
 //      boundary exactly where a cold sweep does.
 //   7. Thread-count determinism: symbolic sweeps return identical full
-//      results (detail and rounds included) at any worker count, and
+//      results (detail and rounds included) at any worker count, the
+//      detail strings of a Figure 2 sweep are pinned byte for byte, and
 //      non-affine batches with symbolic=true fall back per-point with
 //      unchanged values.
 //   8. Acceptance shape: a 120-point exec-time sweep on the 16-task gcd
@@ -314,6 +315,32 @@ TEST(Regions, SymbolicDeterministicAcrossThreadCounts) {
       EXPECT_EQ(runs[r][i].rounds, runs[0][i].rounds) << ctx;
     }
   }
+}
+
+TEST(Regions, SymbolicDetailStringsArePinned) {
+  // Figure 2 with task A's durations swept over 1..8: exact solves at the
+  // anchors and the points between regions, symbolic fills elsewhere.
+  const CsdfGraph g = figure2_graph();
+  const std::vector<i64> values = {1, 2, 3, 4, 5, 6, 7, 8};
+  ThroughputService service(ServiceOptions{0});
+  VariantBatch batch;
+  batch.base = g;
+  batch.deltas = exec_time_sweep(g, TaskId{0}, values);
+  batch.symbolic = true;
+  const std::vector<Analysis> sym = service.analyze_variants(batch);
+  const std::string k = "K={t0:3,t1:4,t2:6} (3 tasks >1)";
+  const std::vector<std::string> want = {
+      "rounds=3 " + k,
+      "symbolic region anchor=0 [0..1] " + k,
+      "rounds=1 " + k,
+      "rounds=1 " + k,
+      "symbolic region anchor=3 [3..7] " + k,
+      "symbolic region anchor=3 [3..7] " + k,
+      "symbolic region anchor=3 [3..7] " + k,
+      "symbolic region anchor=3 [3..7] " + k,
+  };
+  ASSERT_EQ(sym.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) EXPECT_EQ(sym[i].detail, want[i]) << "point " << i;
 }
 
 TEST(Regions, NonAffineBatchFallsBackPerPoint) {

@@ -16,13 +16,23 @@
 //     disturb the other requests of the batch;
 //   * a zero deadline returns Budget without running a full round;
 //   * the ConstraintPoll aborts constraint generation mid-round;
-//   * method_from_name is the inverse of method_name.
+//   * method_from_name is the inverse of method_name;
+//   * requests share their graph's storage with the caller (copy-on-write):
+//     a 2400-request batch over 240 shared graphs is bit-identical to the
+//     same batch over detached copies, and a caller mutating its graph
+//     after submit() does not change that ticket's result;
+//   * a fresh result-cache key costs one allocation and keeps its words;
+//   * the K-Iter detail strings are pinned byte for byte.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "api/service.hpp"
 #include "core/constraints.hpp"
 #include "gen/categories.hpp"
@@ -30,6 +40,8 @@
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
 #include "model/repetition.hpp"
+#include "model/transform.hpp"
+#include "util/hash.hpp"
 
 namespace kp {
 namespace {
@@ -462,6 +474,159 @@ TEST(ConstraintPoll, AbortsGenerationMidRound) {
   EXPECT_TRUE(build_constraint_graph_into(g, rv, k, polled, &tame));
   EXPECT_GT(polls.load(), 0);
   EXPECT_EQ(polled.graph.arc_count(), full.graph.arc_count());
+}
+
+
+// ---- copy-on-write requests ---------------------------------------------------
+
+bool shares_storage(const CsdfGraph& a, const CsdfGraph& b) {
+  return &a.tasks() == &b.tasks();
+}
+
+TEST(ThroughputService, SharedGraphBatchMatchesDetachedGraphBatch) {
+  Rng rng(20261018);
+  RandomCsdfOptions gen;
+  gen.min_tasks = 2;
+  gen.max_tasks = 6;
+  gen.max_phases = 2;
+  gen.max_q = 4;
+  std::vector<CsdfGraph> graphs;
+  std::vector<std::vector<i64>> before;
+  for (int i = 0; i < 240; ++i) {
+    graphs.push_back(random_csdf(rng, gen));
+    before.push_back(content_words(graphs.back()));
+  }
+
+  // Request i reads graph pick[i]: ten requests per graph, in a shuffled
+  // order. The shared batch points at the graphs' own storage; the detached
+  // batch forces a private copy per request with a no-op edit.
+  std::vector<AnalysisRequest> shared;
+  std::vector<AnalysisRequest> detached;
+  for (int i = 0; i < 2400; ++i) {
+    const CsdfGraph& g = graphs[static_cast<std::size_t>((i * 97 + i / 240) % 240)];
+    shared.push_back(AnalysisRequest{.graph = g});
+    ASSERT_TRUE(shares_storage(shared.back().graph, g));
+    AnalysisRequest own{.graph = g};
+    own.graph.set_initial_tokens(0, own.graph.buffer(0).initial_tokens);
+    ASSERT_FALSE(shares_storage(own.graph, g));
+    detached.push_back(std::move(own));
+  }
+
+  ThroughputService shared_service(ServiceOptions{.threads = 4});
+  ThroughputService detached_service(ServiceOptions{.threads = 4});
+  const std::vector<Analysis> from_shared = shared_service.analyze_batch(shared);
+  const std::vector<Analysis> from_detached = detached_service.analyze_batch(detached);
+  ASSERT_EQ(from_shared.size(), shared.size());
+  ASSERT_EQ(from_detached.size(), detached.size());
+  for (std::size_t i = 0; i < shared.size(); ++i) {
+    expect_same_solve(from_shared[i], from_detached[i], "request " + std::to_string(i));
+  }
+  const ServiceStats a = shared_service.stats();
+  const ServiceStats b = detached_service.stats();
+  EXPECT_EQ(a.cache_hits + a.cache_misses, shared.size());
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_LE(a.cache_misses, graphs.size());
+
+  // Serializing a miss detached it; the callers' graphs are untouched.
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    EXPECT_EQ(content_words(graphs[i]), before[i]) << "graph " << i;
+  }
+}
+
+TEST(ThroughputService, CallerMutationAfterSubmitDoesNotChangeTheTicket) {
+  const CsdfGraph pristine = figure2_graph();
+  const Analysis reference = analyze_throughput(pristine, Method::KIter);
+  ASSERT_EQ(reference.period, Rational{13});
+  for (const std::size_t cache : {std::size_t{0}, std::size_t{4096}}) {
+    ThroughputService service(ServiceOptions{.threads = 2, .result_cache_capacity = cache});
+    std::vector<i64> tickets;
+    for (int i = 0; i < 20; ++i) {
+      CsdfGraph g = pristine;
+      tickets.push_back(service.submit(AnalysisRequest{.graph = g}));
+      // Edits that change the answer, made while the request may still be
+      // queued or running on a worker.
+      g.set_durations(0, std::vector<i64>(static_cast<std::size_t>(g.phases(0)), 40 + i));
+      g.set_initial_tokens(1, g.buffer(1).initial_tokens + 1);
+      serialize_tasks_in_place(g);
+      EXPECT_NE(analyze_throughput(g, Method::KIter).period, reference.period);
+    }
+    for (const i64 t : tickets) expect_same_solve(service.wait(t), reference, "ticket");
+  }
+}
+
+// ---- result-cache keys ------------------------------------------------------
+
+TEST(RequestKey, FreshKeyAllocatesOnceAndKeepsItsWords) {
+  // figure1_buffer's key under default options, word for word: the method
+  // and option words, then the content snapshot (2 tasks of 3 and 2
+  // phases with unit durations; one buffer 0 -> 1, M0 = 0, rates
+  // [2,3,1] / [2,5]).
+  const std::vector<i64> snapshot_words = {2, 3, 2, 1, 1, 1, 1, 1, 1, 0, 1, 0, 2, 3, 1, 2, 5};
+  const std::vector<std::pair<Method, std::vector<i64>>> option_words = {
+      {Method::KIter, {0, 1, 0, 1, 0, 1, 1048576, 1, 0, 200000000, 1048576, 0}},
+      {Method::Periodic, {1, 1, 1, 0, 1, 1048576}},
+      {Method::SymbolicExecution, {2, 1, 250000, 10000000}},
+      {Method::Expansion, {3, 1, 2000000, 20000000}},
+  };
+  const CsdfGraph figure1 = figure1_buffer();
+  ASSERT_EQ(content_words(figure1), snapshot_words);
+  for (const auto& [method, prefix] : option_words) {
+    ContentKey key;
+    const std::uint64_t before = g_alloc_count.load();
+    build_request_key(figure1, method, AnalysisOptions{}, key);
+    EXPECT_EQ(g_alloc_count.load() - before, 1u) << method_name(method);
+    std::vector<i64> want = prefix;
+    want.insert(want.end(), snapshot_words.begin(), snapshot_words.end());
+    EXPECT_EQ(key.words, want) << method_name(method);
+    EXPECT_EQ(key.digest, hash_span(key.words));
+  }
+
+  // Every Table-1 graph: one allocation, an exact reservation, and the
+  // content snapshot as the key's tail.
+  std::vector<NamedGraph> graphs = make_actual_dsp();
+  for (auto&& part : {make_mimic_dsp(20160605, 12), make_lg_hsdf(20160606, 8),
+                      make_lg_transient(20160607, 8)}) {
+    graphs.insert(graphs.end(), part.begin(), part.end());
+  }
+  for (const NamedGraph& ng : graphs) {
+    const std::vector<i64> words = content_words(ng.graph);
+    EXPECT_EQ(content_snapshot_size(ng.graph), words.size()) << ng.name;
+    for (const auto& [method, prefix] : option_words) {
+      ContentKey key;
+      const std::uint64_t before = g_alloc_count.load();
+      build_request_key(ng.graph, method, AnalysisOptions{}, key);
+      EXPECT_EQ(g_alloc_count.load() - before, 1u) << ng.name;
+      EXPECT_EQ(key.words.capacity(), key.words.size()) << ng.name;
+      ASSERT_EQ(key.words.size(), prefix.size() + words.size()) << ng.name;
+      EXPECT_TRUE(std::equal(words.begin(), words.end(), key.words.begin() +
+                                                             static_cast<std::ptrdiff_t>(prefix.size())))
+          << ng.name;
+    }
+  }
+}
+
+// ---- detail strings ---------------------------------------------------------
+
+TEST(AnalysisDetail, KIterStringsArePinned) {
+  ThroughputService service(ServiceOptions{.threads = 0, .result_cache_capacity = 0});
+  const auto detail = [&](const CsdfGraph& g, const AnalysisOptions& o) {
+    return service.analyze(g, Method::KIter, o).detail;
+  };
+  // All-ones K.
+  EXPECT_EQ(detail(figure1_buffer(), {}), "rounds=1 K=1");
+  // A few non-1 entries.
+  EXPECT_EQ(detail(figure2_graph(), {}), "rounds=3 K={t0:3,t1:4,t2:6} (3 tasks >1)");
+  // Cut with ",..." once the K rendering passes 60 characters.
+  EXPECT_EQ(detail(synthetic_graph(1), {}),
+            "rounds=3 K={t0:32,t1:32,t2:32,t3:32,t4:32,t5:32,t6:32,t7:32,t8:32,t9:32,...} "
+            "(25 tasks >1)");
+  AnalysisOptions one_round;
+  one_round.kiter.max_rounds = 1;
+  EXPECT_EQ(detail(figure2_graph(), one_round),
+            "rounds=1 K={t0:3,t2:6} (2 tasks >1) (budget hit; best feasible bound reported)");
+  AnalysisOptions stop;
+  stop.kiter.poll = +[](void*) { return true; };
+  EXPECT_EQ(detail(gcd_ring(64), stop), "rounds=0 K=1 (cancelled)");
 }
 
 }  // namespace
