@@ -10,9 +10,11 @@
 //   Expansion         — HSDF-expansion baseline [10]/[6] (SDF only).
 //
 // All methods run on the same semantics: by default tasks are serialized
-// (one phase at a time) by adding the implicit self-buffers before
-// analysis, matching SDF3 practice; turn serialize_tasks off to analyze
-// with unlimited auto-concurrency.
+// (one phase at a time) with an implicit unit self-buffer per task,
+// matching SDF3 practice; turn serialize_tasks off to analyze with
+// unlimited auto-concurrency. K-Iter applies them as a constraint rule
+// (core/constraints.hpp) without copying the graph; the baseline methods
+// analyze add_serialization_buffers' copy.
 #pragma once
 
 #include <optional>

@@ -153,6 +153,8 @@ struct PollChain {
   }
 };
 
+/// K-Iter on the caller's graph as given: options.serialize_tasks turns on
+/// the constraint builder's serial rule, so no serialized copy is made.
 Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double deadline_ms,
                    const CancelToken& cancel, KIterWorkspace& ws,
                    std::vector<i64>* warm_k = nullptr, bool* warm_k_valid = nullptr) {
@@ -173,7 +175,8 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
     kiter.poll_ctx = &chain;
   }
 
-  KIterResult r = kiter_throughput(g, compute_repetition_vector(g), kiter, ws);
+  KIterResult r =
+      kiter_throughput(g, compute_repetition_vector(g), kiter, ws, options.serialize_tasks);
   std::string detail = "rounds=";
   append_int(detail, r.rounds);
   detail += ' ';
@@ -336,11 +339,10 @@ Analysis run_expansion(const CsdfGraph& g, const AnalysisOptions& options) {
 
 /// One request, start to finish, on the given workspace. This is the single
 /// execution path every service entry point funnels through — batch, async
-/// and inline analyses of the same request are therefore identical.
-/// `prepared` says the graph already is what the engines should see (its
-/// owner applied options.serialize_tasks, or the request does not ask for
-/// it); otherwise serialization works on a copy, leaving `graph` untouched.
-Analysis execute_request(const CsdfGraph& graph, bool prepared, Method method,
+/// and inline analyses of the same request are therefore identical. `graph`
+/// is never modified: K-Iter serializes by rule, the baseline methods on a
+/// copy (add_serialization_buffers).
+Analysis execute_request(const CsdfGraph& graph, Method method,
                          const AnalysisOptions& options, double deadline_ms,
                          const CancelToken& cancel, KIterWorkspace& ws,
                          std::vector<i64>* warm_k = nullptr, bool* warm_k_valid = nullptr) {
@@ -358,13 +360,13 @@ Analysis execute_request(const CsdfGraph& graph, bool prepared, Method method,
     }
     return a;
   }
-  const bool copy = !prepared && options.serialize_tasks;
+  const bool copy = method != Method::KIter && options.serialize_tasks;
   CsdfGraph serialized;
   if (copy) serialized = add_serialization_buffers(graph);
   const CsdfGraph& g = copy ? serialized : graph;
   switch (method) {
     case Method::KIter:
-      a = run_kiter(g, options, deadline_ms, cancel, ws, warm_k, warm_k_valid);
+      a = run_kiter(graph, options, deadline_ms, cancel, ws, warm_k, warm_k_valid);
       break;
     case Method::Periodic:
       a = run_periodic(g, options);
@@ -383,13 +385,11 @@ Analysis execute_request(const CsdfGraph& graph, bool prepared, Method method,
 
 }  // namespace
 
-/// One variant batch in flight: the caller's batch, the serialization-
-/// prepared base every worker copies once, and the generation stamp that
-/// keys worker-local variant scratch. Lives on the analyze_variants stack
-/// for the whole blocking call.
+/// One variant batch in flight: the caller's batch (whose base every worker
+/// copies once) and the generation stamp that keys worker-local variant
+/// scratch. Lives on the analyze_variants stack for the whole blocking call.
 struct ThroughputService::VariantRun {
   const VariantBatch* batch = nullptr;
-  const CsdfGraph* prepared = nullptr;
   u64 gen = 0;
 };
 
@@ -708,14 +708,8 @@ bool ThroughputService::run_job(const std::shared_ptr<Job>& job_ptr, int worker_
       if (claim == Claim::Owner) {
         owner = job.cacheable;
         const AnalysisRequest& req = job.req();
-        // A submitted job owns its request, so its graph is serialized in
-        // place; a batch job's graph is the caller's and is serialized on a
-        // copy. Either way the cache key was taken from the unserialized
-        // content before the job was queued.
-        const bool in_place = job.request == nullptr && req.options.serialize_tasks;
-        if (in_place) serialize_tasks_in_place(job.owned.graph);
-        job.result = execute_request(req.graph, in_place, req.method, req.options,
-                                     req.deadline_ms, req.cancel, worker.workspace);
+        job.result = execute_request(req.graph, req.method, req.options, req.deadline_ms,
+                                     req.cancel, worker.workspace);
         solve_hist_.record_ms(job.result.elapsed_ms);
         executed_.fetch_add(1, std::memory_order_relaxed);
         if (owner) {
@@ -741,10 +735,11 @@ bool ThroughputService::run_job(const std::shared_ptr<Job>& job_ptr, int worker_
 
 Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index,
                                         Worker& worker) {
-  // First variant of this batch on this worker: materialize the prepared
-  // base once. Every later variant is revert + apply, O(delta).
+  // First variant of this batch on this worker: materialize the base once.
+  // Every later variant is revert + apply, O(delta).
+  const CsdfGraph& base = run.batch->base;
   if (worker.variant_gen != run.gen) {
-    worker.variant_graph = *run.prepared;
+    worker.variant_graph = base;
     worker.variant_gen = run.gen;
     worker.variant_applied = -1;
     // Batch start is a warm-state boundary: never seed the first variant of
@@ -756,7 +751,7 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
   try {
     if (worker.variant_applied >= 0) {
       revert_delta(worker.variant_graph,
-                   deltas[static_cast<std::size_t>(worker.variant_applied)], *run.prepared);
+                   deltas[static_cast<std::size_t>(worker.variant_applied)], base);
       worker.variant_applied = -1;
     }
     apply_delta(worker.variant_graph, deltas[index]);
@@ -777,9 +772,7 @@ Analysis ThroughputService::run_variant(const VariantRun& run, std::size_t index
     worker.workspace.reset_solver_warm_start();
   }
   if (warm) options.kiter.mcrp.howard_warm_start = true;
-  // Serialization was applied to the base once; the variant must not get a
-  // second layer of self-buffers.
-  return execute_request(worker.variant_graph, /*prepared=*/true, run.batch->method, options,
+  return execute_request(worker.variant_graph, run.batch->method, options,
                          run.batch->deadline_ms, run.batch->cancel, worker.workspace,
                          warm ? &worker.warm_k : nullptr,
                          warm ? &worker.warm_k_valid : nullptr);
@@ -928,10 +921,8 @@ std::vector<Analysis> ThroughputService::analyze_batch(std::span<const AnalysisR
 }
 
 std::vector<Analysis> ThroughputService::analyze_variants(const VariantBatch& batch) {
-  // Delta ids must be validated against the BASE graph up front: the
-  // workers apply deltas to the serialization-augmented copy, where an
-  // out-of-range base buffer id would silently resolve to a serialization
-  // self-loop instead of throwing.
+  // Delta ids are validated against the base up front, so a bad id is
+  // reported once, with its delta's index, before any worker runs.
   for (std::size_t i = 0; i < batch.deltas.size(); ++i) {
     try {
       validate_delta_targets(batch.base, batch.deltas[i]);
@@ -942,13 +933,6 @@ std::vector<Analysis> ThroughputService::analyze_variants(const VariantBatch& ba
 
   VariantRun run;
   run.batch = &batch;
-  CsdfGraph serialized;
-  if (batch.options.serialize_tasks) {
-    serialized = add_serialization_buffers(batch.base);
-    run.prepared = &serialized;
-  } else {
-    run.prepared = &batch.base;
-  }
   {
     std::lock_guard<std::mutex> lk(state_mu_);
     run.gen = ++next_variant_gen_;
@@ -1081,8 +1065,7 @@ Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,
   }
   Worker& caller = *workers_.back();
   std::lock_guard<std::mutex> wk(caller.in_use);
-  Analysis a = execute_request(g, /*prepared=*/false, method, options, deadline_ms, cancel,
-                               caller.workspace);
+  Analysis a = execute_request(g, method, options, deadline_ms, cancel, caller.workspace);
   a.worker_id = caller_id;
   solve_hist_.record_ms(a.elapsed_ms);
   executed_.fetch_add(1, std::memory_order_relaxed);

@@ -329,9 +329,9 @@ class ThroughputService {
 
   /// Analyzes every variant of `batch.base` over the pool: results[i]
   /// answers base + deltas[i] with request_id == i, in delta order, with
-  /// the same determinism guarantee as analyze_batch. Serialization
-  /// (options.serialize_tasks) is applied once to the base — delta ids
-  /// refer to the base graph and stay valid. A delta naming a task/buffer
+  /// the same determinism guarantee as analyze_batch. Delta ids refer to
+  /// the base graph, which serialization never edits (analysis.hpp). A
+  /// delta naming a task/buffer
   /// id the base does not have throws ModelError before any variant runs;
   /// other invalid deltas (wrong vector size, negative value) throw out of
   /// this call after the batch drains, like an engine error in
@@ -349,13 +349,10 @@ class ThroughputService {
   /// The job holds its own graph object, sharing the caller's storage
   /// (copy-on-write, model/csdf.hpp), so mutating the caller's graph
   /// afterwards detaches the caller and can neither change the analysis nor
-  /// poison the result cache. The worker applies options.serialize_tasks to
-  /// the job's graph in place (serialize_tasks_in_place), which detaches it
-  /// from the caller's storage exactly once — the only copy a submitted
-  /// request makes, and none when every task already has a self-loop. The
-  /// result-cache key is taken at submit time from the unserialized
-  /// content, so a submitted request and an identical batch or inline
-  /// request share one cache entry. A cache hit completes the ticket before
+  /// poison the result cache; a K-Iter request never copies it at all
+  /// (analysis.hpp). The result-cache key is taken at submit time, so a
+  /// submitted request and an identical batch or inline request share one
+  /// cache entry. A cache hit completes the ticket before
   /// submit() returns; in inline mode every request is served
   /// synchronously.
   i64 submit(AnalysisRequest request);

@@ -1,6 +1,7 @@
 #include "core/constraints.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -192,6 +193,44 @@ bool emit_buffer_arcs(const CsdfGraph& g, const RepetitionVector& rv, const Buff
   return true;
 }
 
+// ---- the serial rule ---------------------------------------------------------
+
+/// Appends task t's serial block (see the header comment): the arcs the
+/// stride enumeration yields for a unit self-buffer with one token, in the
+/// same order, from their closed form. Polls like emit_buffer_arcs, one
+/// countdown step per producer row.
+bool emit_serial_arcs(const CsdfGraph& g, const RepetitionVector& rv, TaskId t,
+                      const std::vector<i64>& k, ConstraintGraph& cg, EmitState& st) {
+  const auto idx = static_cast<std::size_t>(t);
+  const std::vector<i64>& dur = g.tasks()[idx].durations;
+  const auto phi = static_cast<std::int32_t>(dur.size());
+  // K_t·φ(t) < 2^30 by the node-count guard.
+  const auto n = static_cast<std::int32_t>(k[idx] * phi);
+  const std::int32_t first = cg.task_first_node[idx];
+  for (std::int32_t i = 0; i < n; ++i) {
+    if (st.stride != 0 && --st.rows_until_poll <= 0) {
+      if (st.poll->should_stop()) return false;
+      st.rows_until_poll = st.stride;
+    }
+    const i64 d = dur[static_cast<std::size_t>(i % phi)];
+    if (i + 1 < n) {
+      cg.graph.add_arc(first + i, first + i + 1, d, Rational{0});
+    } else {
+      cg.graph.add_arc(first + i, first, d, Rational(i128{k[idx]}, i128{rv.of(t)}));
+    }
+  }
+  return true;
+}
+
+/// buffer_stride_work (below) of a serial block at K_t = kt, in closed
+/// form: φ² (producer, consumer) phase pairs of kt rows each, every one with
+/// min rate 1 and γ = kt·φ, so a row costs 2 — or 3 when φ = 1 < kt, where
+/// one residue window of width 1 survives the stride bound.
+i128 serial_stride_work(i64 kt, std::int32_t phi) {
+  const i128 per_row = (kt > 1 && phi == 1) ? 3 : 2;
+  return checked_mul(checked_mul(i128{phi} * phi, i128{kt}), per_row);
+}
+
 // ---- content fingerprints (cross-variant cache keying) ----------------------
 
 /// Content-snapshot pieces (push_back into cleared vectors — capacity is
@@ -217,11 +256,14 @@ void snapshot_buffers(const CsdfGraph& g, const RepetitionVector& rv,
     cache.key_rates.insert(cache.key_rates.end(), b.prod.begin(), b.prod.end());
     cache.key_rates.insert(cache.key_rates.end(), b.cons.begin(), b.cons.end());
   }
+  cache.key_serial_q.clear();
+  for (const TaskId t : cache.serial_tasks) cache.key_serial_q.push_back(rv.of(t));
 }
 
 /// Records the exact model content the companion graph encodes: per-task
-/// phase counts, all durations, per-buffer (src, dst, M0, q_src) and all
-/// rate vectors.
+/// phase counts, all durations, per-buffer (src, dst, M0, q_src), all rate
+/// vectors and the q of every serial task (cache.serial_tasks must be
+/// current).
 void snapshot_model(const CsdfGraph& g, const RepetitionVector& rv, ConstraintGraphCache& cache) {
   cache.key_task_phi.clear();
   for (const Task& t : g.tasks()) cache.key_task_phi.push_back(t.phases());
@@ -249,14 +291,19 @@ bool buffer_content_matches(const ConstraintGraphCache& cache, const Buffer& b, 
   return same;
 }
 
-/// True iff `g` has the shape the snapshot describes: same task and buffer
-/// counts, same phase counts, same endpoints. Only same-shaped graphs are
-/// diffable — the node layout and buffer emission order line up, so every
-/// difference is expressible per buffer.
-bool shape_matches(const CsdfGraph& g, const ConstraintGraphCache& cache) {
+/// True iff `g` under the serial rule setting `serialize` has the shape the
+/// snapshot describes: same setting, same task and buffer counts, same
+/// phase counts, same endpoints — and therefore the same serial tasks. Only
+/// same-shaped graphs are diffable — the node layout and span emission
+/// order line up, so every difference is expressible per span.
+bool shape_matches(const CsdfGraph& g, const ConstraintGraphCache& cache, bool serialize) {
   const auto ntasks = static_cast<std::size_t>(g.task_count());
   const auto nbuf = static_cast<std::size_t>(g.buffer_count());
-  if (cache.key_task_phi.size() != ntasks || cache.key_buf.size() != 4 * nbuf) return false;
+  if (cache.serial != serialize || cache.key_task_phi.size() != ntasks ||
+      cache.key_buf.size() != 4 * nbuf ||
+      cache.buf_arc_begin.size() != nbuf + cache.serial_tasks.size() + 1) {
+    return false;
+  }
   for (std::size_t t = 0; t < ntasks; ++t) {
     if (cache.key_task_phi[t] != g.tasks()[t].phases()) return false;
   }
@@ -267,6 +314,19 @@ bool shape_matches(const CsdfGraph& g, const ConstraintGraphCache& cache) {
     }
   }
   return true;
+}
+
+/// (producer, consumer) of arc span s: buffer s, or serial block
+/// s - buffer_count, whose task is both.
+std::pair<TaskId, TaskId> span_ends(const CsdfGraph& g, const ConstraintGraphCache& cache,
+                                    std::size_t s) {
+  const auto nbuf = static_cast<std::size_t>(g.buffer_count());
+  if (s >= nbuf) {
+    const TaskId t = cache.serial_tasks[s - nbuf];
+    return {t, t};
+  }
+  const Buffer& b = g.buffers()[s];
+  return {b.src, b.dst};
 }
 
 /// Rewrites the L payloads of buffer arcs [lo, hi) of `cg` from the
@@ -416,35 +476,40 @@ std::string ConstraintGraph::describe_circuit(const CsdfGraph& g,
   return out;
 }
 
-i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k) {
+i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k, bool serialize) {
+  const auto rows = [&](TaskId t) {
+    return checked_mul(i128{k[static_cast<std::size_t>(t)]}, i128{g.phases(t)});
+  };
   i128 pairs = 0;
   for (const Buffer& b : g.buffers()) {
-    const i128 rows = checked_mul(i128{k[static_cast<std::size_t>(b.src)]},
-                                  i128{g.phases(b.src)});
-    const i128 cols = checked_mul(i128{k[static_cast<std::size_t>(b.dst)]},
-                                  i128{g.phases(b.dst)});
-    pairs = checked_add(pairs, checked_mul(rows, cols));
+    pairs = checked_add(pairs, checked_mul(rows(b.src), rows(b.dst)));
+  }
+  for (TaskId t = 0; serialize && t < g.task_count(); ++t) {
+    if (!g.has_self_loop(t)) pairs = checked_add(pairs, checked_mul(rows(t), rows(t)));
   }
   return pairs;
 }
 
-i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k) {
+i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k, bool serialize) {
   i128 work = 0;
   for (const Buffer& b : g.buffers()) {
     work = checked_add(work, buffer_stride_work(b, k[static_cast<std::size_t>(b.src)],
                                                 k[static_cast<std::size_t>(b.dst)]));
+  }
+  for (TaskId t = 0; serialize && t < g.task_count(); ++t) {
+    if (g.has_self_loop(t)) continue;
+    work = checked_add(work, serial_stride_work(k[static_cast<std::size_t>(t)], g.phases(t)));
   }
   return work;
 }
 
 i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& rv,
                                     const std::vector<i64>& k_from, const std::vector<i64>& k,
-                                    const ConstraintGraphCache& cache) {
-  const auto nbuf = static_cast<std::size_t>(g.buffer_count());
+                                    const ConstraintGraphCache& cache, bool serialize) {
   if (!cache.valid || k_from.size() != k.size() ||
       k.size() != static_cast<std::size_t>(g.task_count()) ||
-      cache.buf_arc_begin.size() != nbuf + 1 || !shape_matches(g, cache)) {
-    return constraint_work_estimate(g, k);
+      !shape_matches(g, cache, serialize)) {
+    return constraint_work_estimate(g, k, serialize);
   }
   i128 work = 0;
   std::size_t rate_off = 0;
@@ -463,12 +528,23 @@ i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& 
       work = checked_add(work, buffer_stride_work(b, k[src], k[dst]));
     }
   }
+  const auto nbuf = static_cast<std::size_t>(g.buffer_count());
+  for (std::size_t i = 0; i < cache.serial_tasks.size(); ++i) {
+    const TaskId t = cache.serial_tasks[i];
+    const auto idx = static_cast<std::size_t>(t);
+    if (cache.key_serial_q[i] == rv.of(t) && k_from[idx] == k[idx]) {
+      work = checked_add(work, i128{cache.buf_arc_begin[nbuf + i + 1] -
+                                    cache.buf_arc_begin[nbuf + i]});
+    } else {
+      work = checked_add(work, serial_stride_work(k[idx], g.phases(t)));
+    }
+  }
   return work;
 }
 
 bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
                                  const std::vector<i64>& k, ConstraintGraph& cg,
-                                 const ConstraintPoll* poll) {
+                                 const ConstraintPoll* poll, bool serialize) {
   init_constraint_nodes(g, rv, k, cg);
   // Per buffer, emit exactly the useful (p̃, p̃') pairs. With
   // γ = gcd(ĩ_b, õ_b), Q̃ - 1 = cum_out(p̃') + A(p̃) and a pair is useful
@@ -483,21 +559,26 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
   for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
     if (!emit_buffer_arcs(g, rv, g.buffer(bid), k, cg, st)) return false;
   }
+  for (TaskId t = 0; serialize && t < g.task_count(); ++t) {
+    if (!g.has_self_loop(t) && !emit_serial_arcs(g, rv, t, k, cg, st)) return false;
+  }
   cg.graph.graph().finalize();
   return true;
 }
 
 bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                         const std::vector<i64>& k, ConstraintGraph& cg,
-                                        ConstraintGraphCache& cache, const ConstraintPoll* poll) {
+                                        ConstraintGraphCache& cache, const ConstraintPoll* poll,
+                                        bool serialize) {
   const auto nbuf = static_cast<std::size_t>(g.buffer_count());
   const auto ntasks = static_cast<std::size_t>(g.task_count());
 
   // Diff (g, k) against the cached content snapshot. The patch path needs a
-  // valid span record for a same-shaped graph and at least one buffer whose
-  // arcs survive structurally.
+  // valid span record for a same-shaped graph (serial setting included) and
+  // at least one span whose arcs survive structurally. Spans are the
+  // buffers in id order, then the serial blocks in task order.
   bool patch = cache.valid && cg.k.size() == k.size() && k.size() == ntasks &&
-               cache.buf_arc_begin.size() == nbuf + 1 && shape_matches(g, cache);
+               shape_matches(g, cache, serialize);
   bool any_recost = false;   // some task's durations moved (L payloads)
   bool any_content = false;  // some buffer's marking/q/rates moved
   if (patch) {
@@ -521,12 +602,13 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       dur_off += dur.size();
     }
 
-    // Per buffer: did anything that shapes its arcs change — endpoint K,
-    // marking, producer q, rates? The content check runs even for buffers a
+    // Per span: did anything that shapes its arcs change — endpoint K,
+    // marking, producer q, rates? The content check runs even for spans a
     // K change already touched: `any_content` decides below whether the
     // buffer snapshot must be refreshed at all (pure-K rounds, the K-Iter
-    // common case, skip it entirely).
-    cache.buf_touched.assign(nbuf, 0);
+    // common case, skip it entirely). A serial block's content is its
+    // task's q alone.
+    cache.buf_touched.assign(nbuf + cache.serial_tasks.size(), 0);
     std::size_t rate_off = 0;
     for (std::size_t bid = 0; bid < nbuf; ++bid) {
       const Buffer& b = g.buffers()[bid];
@@ -537,18 +619,26 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
         cache.buf_touched[bid] = 1;
       }
     }
+    for (std::size_t i = 0; i < cache.serial_tasks.size(); ++i) {
+      const TaskId t = cache.serial_tasks[i];
+      const bool q_moved = cache.key_serial_q[i] != rv.of(t);
+      any_content |= q_moved;
+      if (q_moved || cache.task_touched[static_cast<std::size_t>(t)] != 0) {
+        cache.buf_touched[nbuf + i] = 1;
+      }
+    }
 
     if (!any_layout && !any_content) {
       if (!any_recost) return true;  // the graph already encodes (g, k)
       // Execution-time-only delta: every arc keeps its endpoints and H, so
       // the node layout, the spans and the CSR all stay verbatim — rewrite
       // the L payloads of the changed producers' spans on the LIVE graph
-      // and refresh the duration snapshot. No buffer is re-enumerated and
+      // and refresh the duration snapshot. No span is re-enumerated and
       // nothing is allocated.
-      for (std::size_t bid = 0; bid < nbuf; ++bid) {
-        const Buffer& b = g.buffers()[bid];
-        if (cache.task_recost[static_cast<std::size_t>(b.src)] == 0) continue;
-        recost_span(g, cg, b.src, cache.buf_arc_begin[bid], cache.buf_arc_begin[bid + 1]);
+      for (std::size_t s = 0; s < cache.buf_touched.size(); ++s) {
+        const TaskId src = span_ends(g, cache, s).first;
+        if (cache.task_recost[static_cast<std::size_t>(src)] == 0) continue;
+        recost_span(g, cg, src, cache.buf_arc_begin[s], cache.buf_arc_begin[s + 1]);
       }
       snapshot_durations(g, cache);
       ++cache.payload_rounds;
@@ -556,97 +646,102 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
       return true;
     }
 
-    bool any_untouched_buffer = false;
-    for (std::size_t bid = 0; bid < nbuf; ++bid) {
-      if (cache.buf_touched[bid] == 0) {
-        any_untouched_buffer = true;
-        break;
-      }
-    }
-    patch = any_untouched_buffer;  // full-coverage round: patching buys nothing
+    patch = std::find(cache.buf_touched.begin(), cache.buf_touched.end(), 0) !=
+            cache.buf_touched.end();  // full-coverage round: patching buys nothing
   }
 
   if (!patch) {
     // Cold start / fallback: a recorded full rebuild (the reference path,
-    // plus the per-buffer arc spans and the content snapshot the next
-    // round will diff against).
+    // plus the per-span arc ranges and the content snapshot the next round
+    // will diff against).
     cache.valid = false;  // cg is partial until the build completes
     init_constraint_nodes(g, rv, k, cg);
-    cache.buf_arc_begin.resize(nbuf + 1);
-    EmitState st(poll);
-    for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
-      cache.buf_arc_begin[static_cast<std::size_t>(bid)] = cg.graph.arc_count();
-      if (!emit_buffer_arcs(g, rv, g.buffer(bid), k, cg, st)) return false;
+    cache.serial = serialize;
+    cache.serial_tasks.clear();
+    for (TaskId t = 0; serialize && t < g.task_count(); ++t) {
+      if (!g.has_self_loop(t)) cache.serial_tasks.push_back(t);
     }
-    cache.buf_arc_begin[nbuf] = cg.graph.arc_count();
+    const std::size_t nspan = nbuf + cache.serial_tasks.size();
+    cache.buf_arc_begin.resize(nspan + 1);
+    EmitState st(poll);
+    for (std::size_t s = 0; s < nspan; ++s) {
+      cache.buf_arc_begin[s] = cg.graph.arc_count();
+      const bool done =
+          s < nbuf ? emit_buffer_arcs(g, rv, g.buffers()[s], k, cg, st)
+                   : emit_serial_arcs(g, rv, cache.serial_tasks[s - nbuf], k, cg, st);
+      if (!done) return false;
+    }
+    cache.buf_arc_begin[nspan] = cg.graph.arc_count();
     cg.graph.graph().finalize();
     snapshot_model(g, rv, cache);
     cache.valid = true;
     ++cache.rebuilt_rounds;
-    cache.last_regenerated_buffers = static_cast<i64>(nbuf);
+    cache.last_regenerated_buffers = static_cast<i64>(nspan);
     return true;
   }
 
   // Patch path: lay out the new node space in the scratch graph (node-map
   // spans of layout-unchanged tasks block-copied from the live graph), then
-  // walk the buffers in id order — regenerate the structurally touched
-  // ones, splice the rest over with the constant node-id shift their tasks'
+  // walk the spans in order — regenerate the structurally touched ones,
+  // splice the rest over with the constant node-id shift their tasks'
   // layout change induces (rewriting L payloads where only the producer's
-  // durations moved). Buffer order is what the full build uses, so the
+  // durations moved). Span order is what the full build uses, so the
   // result is arc-for-arc identical to a fresh build.
+  const std::size_t nspan = cache.buf_touched.size();
   ConstraintGraph& scratch = cache.scratch;
   layout_nodes_for_patch(g, rv, k, cg, scratch, cache.task_touched);
   cache.node_delta.resize(ntasks);
   for (std::size_t t = 0; t < ntasks; ++t) {
     cache.node_delta[t] = scratch.task_first_node[t] - cg.task_first_node[t];
   }
-  cache.scratch_arc_begin.resize(nbuf + 1);
+  cache.scratch_arc_begin.resize(nspan + 1);
   i64 regenerated = 0;
   EmitState st(poll);
-  for (BufferId bid = 0; bid < g.buffer_count(); ++bid) {
-    const Buffer& b = g.buffer(bid);
+  for (std::size_t s = 0; s < nspan; ++s) {
+    const auto [src, dst] = span_ends(g, cache, s);
     const std::int32_t lo = scratch.graph.arc_count();
-    cache.scratch_arc_begin[static_cast<std::size_t>(bid)] = lo;
-    if (cache.buf_touched[static_cast<std::size_t>(bid)] != 0) {
+    cache.scratch_arc_begin[s] = lo;
+    if (cache.buf_touched[s] != 0) {
       ++regenerated;
-      if (!emit_buffer_arcs(g, rv, b, k, scratch, st)) {
+      const bool done = s < nbuf ? emit_buffer_arcs(g, rv, g.buffers()[s], k, scratch, st)
+                                 : emit_serial_arcs(g, rv, src, k, scratch, st);
+      if (!done) {
         // cg still holds the previous round's intact graph, but it does not
         // encode (g, k): force the next build down the cold path.
         cache.invalidate();
         return false;
       }
     } else {
-      scratch.graph.append_arcs_shifted(
-          cg.graph, cache.buf_arc_begin[static_cast<std::size_t>(bid)],
-          cache.buf_arc_begin[static_cast<std::size_t>(bid) + 1],
-          cache.node_delta[static_cast<std::size_t>(b.src)],
-          cache.node_delta[static_cast<std::size_t>(b.dst)]);
-      if (cache.task_recost[static_cast<std::size_t>(b.src)] != 0) {
-        recost_span(g, scratch, b.src, lo, scratch.graph.arc_count());
+      scratch.graph.append_arcs_shifted(cg.graph, cache.buf_arc_begin[s],
+                                        cache.buf_arc_begin[s + 1],
+                                        cache.node_delta[static_cast<std::size_t>(src)],
+                                        cache.node_delta[static_cast<std::size_t>(dst)]);
+      if (cache.task_recost[static_cast<std::size_t>(src)] != 0) {
+        recost_span(g, scratch, src, lo, scratch.graph.arc_count());
       }
     }
   }
-  cache.scratch_arc_begin[nbuf] = scratch.graph.arc_count();
+  cache.scratch_arc_begin[nspan] = scratch.graph.arc_count();
 
-  // CSR rebuild with degree-span reuse: a task whose incident buffers all
+  // CSR rebuild with degree-span reuse: a task whose incident spans all
   // kept their arcs structurally has, node for node, the same adjacency
   // degrees as before — copy those spans from the live graph's CSR instead
-  // of recounting them, and recount only the spans of buffers incident to
-  // a stale task (Digraph::finalize_patched).
+  // of recounting them, and recount only the spans incident to a stale
+  // task (Digraph::finalize_patched).
   cache.out_stale.assign(ntasks, 0);
   cache.in_stale.assign(ntasks, 0);
-  for (std::size_t bid = 0; bid < nbuf; ++bid) {
-    if (cache.buf_touched[bid] == 0) continue;
-    const Buffer& b = g.buffers()[bid];
-    cache.out_stale[static_cast<std::size_t>(b.src)] = 1;
-    cache.in_stale[static_cast<std::size_t>(b.dst)] = 1;
+  for (std::size_t s = 0; s < nspan; ++s) {
+    if (cache.buf_touched[s] == 0) continue;
+    const auto [src, dst] = span_ends(g, cache, s);
+    cache.out_stale[static_cast<std::size_t>(src)] = 1;
+    cache.in_stale[static_cast<std::size_t>(dst)] = 1;
   }
   cache.out_reuse.clear();
   cache.in_reuse.clear();
   for (std::size_t t = 0; t < ntasks; ++t) {
     if (cache.task_touched[t] != 0) {
       // K changed: the node range itself resized — degrees are meaningless
-      // to copy, and every incident buffer is regenerated anyway.
+      // to copy, and every incident span is regenerated anyway.
       cache.out_stale[t] = 1;
       cache.in_stale[t] = 1;
       continue;
@@ -661,23 +756,18 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
   }
   cache.out_recount.clear();
   cache.in_recount.clear();
-  for (std::size_t bid = 0; bid < nbuf; ++bid) {
-    const Buffer& b = g.buffers()[bid];
-    const CsrArcRange span{cache.scratch_arc_begin[bid], cache.scratch_arc_begin[bid + 1]};
-    if (cache.out_stale[static_cast<std::size_t>(b.src)] != 0) {
-      if (!cache.out_recount.empty() && cache.out_recount.back().hi == span.lo) {
-        cache.out_recount.back().hi = span.hi;  // merge adjacent ranges
-      } else {
-        cache.out_recount.push_back(span);
-      }
+  const auto add_range = [](std::vector<CsrArcRange>& ranges, CsrArcRange span) {
+    if (!ranges.empty() && ranges.back().hi == span.lo) {
+      ranges.back().hi = span.hi;  // merge adjacent ranges
+    } else {
+      ranges.push_back(span);
     }
-    if (cache.in_stale[static_cast<std::size_t>(b.dst)] != 0) {
-      if (!cache.in_recount.empty() && cache.in_recount.back().hi == span.lo) {
-        cache.in_recount.back().hi = span.hi;
-      } else {
-        cache.in_recount.push_back(span);
-      }
-    }
+  };
+  for (std::size_t s = 0; s < nspan; ++s) {
+    const auto [src, dst] = span_ends(g, cache, s);
+    const CsrArcRange span{cache.scratch_arc_begin[s], cache.scratch_arc_begin[s + 1]};
+    if (cache.out_stale[static_cast<std::size_t>(src)] != 0) add_range(cache.out_recount, span);
+    if (cache.in_stale[static_cast<std::size_t>(dst)] != 0) add_range(cache.in_recount, span);
   }
   scratch.graph.graph().finalize_patched(cg.graph.graph(), cache.out_reuse, cache.out_recount,
                                          cache.in_reuse, cache.in_recount);
@@ -697,9 +787,9 @@ bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVect
 }
 
 ConstraintGraph build_constraint_graph(const CsdfGraph& g, const RepetitionVector& rv,
-                                       const std::vector<i64>& k) {
+                                       const std::vector<i64>& k, bool serialize) {
   ConstraintGraph cg;
-  (void)build_constraint_graph_into(g, rv, k, cg);
+  (void)build_constraint_graph_into(g, rv, k, cg, nullptr, serialize);
   return cg;
 }
 

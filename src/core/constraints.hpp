@@ -29,6 +29,16 @@
 // strides — per-buffer cost O(rows · φ(t') + useful constraints) instead of
 // O(rows · cols). build_constraint_graph_reference keeps the brute-force
 // scan for equivalence testing; both produce the identical arc multiset.
+//
+// The serial rule (trailing `serialize` parameter, off by default) applies
+// add_serialization_buffers' semantics — a unit one-token self-buffer on
+// every task without a self-loop — without editing the graph. On task t
+// with n = K_t·φ(t) nodes, such a buffer's useful pairs are n arcs in node
+// order: <t,i> -> <t,i+1> with L = d(phase of i), H = 0, then <t,n> ->
+// <t,1> with L = d(phase of n), H = K_t/q_t (a self-arc with H = 1/q_t
+// when n = 1). The blocks follow the real buffers in task order, where the
+// transform appends its buffers, so node ids, arc ids, L, H, the CSR and
+// every estimate below equal those of a build over the serialized graph.
 #pragma once
 
 #include <cstdint>
@@ -132,26 +142,33 @@ struct ConstraintGraphCache {
   /// to diff against).
   bool valid = false;
 
-  /// buffer_count + 1 entries: buffer b's arcs occupy ids
-  /// [buf_arc_begin[b], buf_arc_begin[b+1]) of the companion graph.
+  /// The serial rule setting the companion graph was built with (part of
+  /// the key) and the tasks it gave a serial block, in task order.
+  bool serial = false;
+  std::vector<TaskId> serial_tasks;
+
+  /// One entry per arc span plus one: buffer b's arcs occupy ids
+  /// [buf_arc_begin[b], buf_arc_begin[b+1]) of the companion graph, and
+  /// serial block i (task serial_tasks[i]) is span buffer_count + i.
   std::vector<std::int32_t> buf_arc_begin;
 
   /// Content snapshot of the source model (see the class comment):
   /// per task phi(t); all durations concatenated in task order; per buffer
   /// (src, dst, M0, q_src); all rate vectors concatenated in buffer order
-  /// (prod then cons).
+  /// (prod then cons); q of every serial_tasks entry.
   std::vector<i64> key_task_phi;
   std::vector<i64> key_dur;
   std::vector<i64> key_buf;
   std::vector<i64> key_rates;
+  std::vector<i64> key_serial_q;
 
   /// Splice target; swapped with the companion graph after each patch.
   ConstraintGraph scratch;
   std::vector<std::int32_t> scratch_arc_begin;
 
-  /// Per-task / per-buffer scratch for one diff+patch (capacity retained):
+  /// Per-task / per-span scratch for one diff+patch (capacity retained):
   /// first-node shift, layout-changed and durations-changed task flags,
-  /// structurally-touched buffer flags, and the degree-span / recount lists
+  /// structurally-touched span flags, and the degree-span / recount lists
   /// handed to Digraph::finalize_patched.
   std::vector<std::int32_t> node_delta;
   std::vector<std::int8_t> task_touched;
@@ -169,8 +186,8 @@ struct ConstraintGraphCache {
   i64 rebuilt_rounds = 0;   ///< cold starts and full-rebuild fallbacks
   i64 payload_rounds = 0;   ///< pure execution-time patches on the live graph
 
-  /// Buffers re-enumerated through the stride generator by the most recent
-  /// build (buffer_count on a rebuild; 0 on a pure payload patch).
+  /// Spans (buffers and serial blocks) regenerated by the most recent build
+  /// (all of them on a rebuild; 0 on a pure payload patch).
   i64 last_regenerated_buffers = 0;
 
   void invalidate() noexcept { valid = false; }
@@ -195,9 +212,11 @@ void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words);
 
 /// Builds the constraint graph for periodicity vector `k` (one entry per
 /// task, each >= 1). `rv` must be the repetition vector of `g` (consistent).
+/// `serialize` applies the serial rule (see the header comment).
 [[nodiscard]] ConstraintGraph build_constraint_graph(const CsdfGraph& g,
                                                      const RepetitionVector& rv,
-                                                     const std::vector<i64>& k);
+                                                     const std::vector<i64>& k,
+                                                     bool serialize = false);
 
 /// Storage-reusing variant: rebuilds `out` in place, keeping the capacity of
 /// every internal vector. After a warming build, rebuilding a graph of no
@@ -206,12 +225,13 @@ void append_content_snapshot(const CsdfGraph& g, std::vector<i64>& words);
 /// must not be solved.
 bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
                                  const std::vector<i64>& k, ConstraintGraph& out,
-                                 const ConstraintPoll* poll = nullptr);
+                                 const ConstraintPoll* poll = nullptr, bool serialize = false);
 
 /// Incremental build: produces in `out` a graph arc-for-arc identical (same
 /// node ids, same arc ids, same payloads) to build_constraint_graph_into(g,
-/// rv, k, out), but when `cache` is valid and holds a graph of the same
-/// shape (task/buffer counts, phase counts, endpoints), only the buffers
+/// rv, k, out, poll, serialize), but when `cache` is valid and holds a
+/// graph of the same shape (task/buffer counts, phase counts, endpoints,
+/// serial rule setting), only the buffers
 /// whose content fingerprint changed — endpoint K, rates, marking, producer
 /// q — are regenerated; every other buffer's arc span is spliced over with
 /// a constant node-id shift, with L payloads rewritten in place for buffers
@@ -219,7 +239,8 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
 /// cache was built from: any same-shaped variant diffs against the content
 /// snapshot, which is what lets one warm cache serve a parametric DSE batch
 /// (an execution-time-only variant patches the live graph's L payloads and
-/// re-enumerates nothing). Falls back to a recorded full rebuild on a cold
+/// re-enumerates nothing). A serial block is a buffer here whose content is
+/// q_t. Falls back to a recorded full rebuild on a cold
 /// cache, a shape mismatch, or when no buffer survives untouched (the worst
 /// case: the critical circuit covered every task). Returns false iff `poll`
 /// aborted; the cache is then invalid and `out` must be rebuilt (after a
@@ -228,7 +249,8 @@ bool build_constraint_graph_into(const CsdfGraph& g, const RepetitionVector& rv,
 bool build_constraint_graph_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                         const std::vector<i64>& k, ConstraintGraph& out,
                                         ConstraintGraphCache& cache,
-                                        const ConstraintPoll* poll = nullptr);
+                                        const ConstraintPoll* poll = nullptr,
+                                        bool serialize = false);
 
 /// Brute-force O(rows·cols) reference generator (the pre-stride scan), kept
 /// for the equivalence tests and the bench_hotpath comparison. Produces the
@@ -244,8 +266,10 @@ void build_constraint_graph_reference_into(const CsdfGraph& g, const RepetitionV
 
 /// Number of (p̃, p̃') pairs the brute-force generator would enumerate for
 /// `k` — the candidate-space estimate used to refuse absurdly large
-/// requests up front.
-[[nodiscard]] i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k);
+/// requests up front. With `serialize`, each serial block counts as the
+/// unit self-buffer it stands for, here and in the two estimates below.
+[[nodiscard]] i128 constraint_pair_count(const CsdfGraph& g, const std::vector<i64>& k,
+                                         bool serialize = false);
 
 /// Upper bound (within a small constant) on the stride generator's work for
 /// `k`: the O(rows·φ(t')) base scan plus a per-(row, consumer-phase) bound
@@ -254,7 +278,8 @@ void build_constraint_graph_reference_into(const CsdfGraph& g, const RepetitionV
 /// constraint_pair_count — the resource guard takes the cheaper of the two
 /// so the stride path's reach is not capped by the retired brute-force cost
 /// model, while staying sound against congruence-aligned worst cases.
-[[nodiscard]] i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k);
+[[nodiscard]] i128 constraint_work_estimate(const CsdfGraph& g, const std::vector<i64>& k,
+                                            bool serialize = false);
 
 /// Prices the round that patches the cached graph (currently encoding
 /// `k_from`) into (g, k): buffers whose content fingerprint changed at the
@@ -262,11 +287,13 @@ void build_constraint_graph_reference_into(const CsdfGraph& g, const RepetitionV
 /// cost (the recorded arc span length; durations-only changes count as
 /// untouched — the L rewrite is a copy-cost walk). Falls back to
 /// constraint_work_estimate(g, k) when the cache is cold, the shape
-/// mismatches, or the vectors are incomparable — so callers can always
-/// take min(pair count, full estimate, this) as the round's price.
+/// mismatches (the serial rule setting included), or the vectors are
+/// incomparable — so callers can always take min(pair count, full
+/// estimate, this) as the round's price.
 [[nodiscard]] i128 constraint_patch_work_estimate(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k_from,
                                                   const std::vector<i64>& k,
-                                                  const ConstraintGraphCache& cache);
+                                                  const ConstraintGraphCache& cache,
+                                                  bool serialize = false);
 
 }  // namespace kp

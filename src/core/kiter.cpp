@@ -9,46 +9,16 @@ namespace kp {
 
 namespace {
 
-/// Smallest divisor of q that is >= target (target <= q); used by the
-/// Doubling ablation policy. O(sqrt(q)).
-i64 smallest_divisor_at_least(i64 q, i64 target) {
-  if (target >= q) return q;
-  i64 best = q;
-  for (i64 d = 1; d * d <= q; ++d) {
-    if (q % d != 0) continue;
-    if (d >= target) best = std::min(best, d);
-    const i64 other = q / d;
-    if (other >= target) best = std::min(best, other);
-  }
-  return best;
-}
-
-/// Applies the chosen update policy along the circuit. Returns true if K
+/// Applies the paper's update rule along the circuit. Returns true if K
 /// changed.
 bool update_k(std::vector<i64>& k, const RepetitionVector& rv,
-              const std::vector<TaskId>& circuit_tasks, KUpdatePolicy policy) {
+              const std::vector<TaskId>& circuit_tasks) {
   i64 g = 0;
   for (const TaskId t : circuit_tasks) g = gcd64(g, rv.of(t));
   bool changed = false;
   for (const TaskId t : circuit_tasks) {
     const auto idx = static_cast<std::size_t>(t);
-    const i64 qbar = rv.of(t) / g;
-    i64 next = k[idx];
-    switch (policy) {
-      case KUpdatePolicy::PaperLcm:
-        next = lcm64(k[idx], qbar);
-        break;
-      case KUpdatePolicy::JumpToQ:
-        next = rv.of(t);
-        break;
-      case KUpdatePolicy::Doubling: {
-        // Grow at least geometrically while staying a divisor of q_t, and
-        // never below the paper's requirement once it is small enough.
-        const i64 doubled = smallest_divisor_at_least(rv.of(t), checked_mul(k[idx], 2));
-        next = (k[idx] % qbar == 0) ? doubled : std::min(doubled, lcm64(k[idx], qbar));
-        break;
-      }
-    }
+    const i64 next = lcm64(k[idx], rv.of(t) / g);
     if (next != k[idx]) {
       k[idx] = next;
       changed = true;
@@ -60,7 +30,7 @@ bool update_k(std::vector<i64>& k, const RepetitionVector& rv,
 }  // namespace
 
 KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
-                             const KIterOptions& options, KIterWorkspace& ws) {
+                             const KIterOptions& options, KIterWorkspace& ws, bool serialize) {
   if (!rv.consistent) throw ModelError("kiter: graph is not consistent: " + rv.failure_reason);
   KIterResult result;
   Stopwatch clock;
@@ -131,7 +101,7 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     KEvalOptions eval_options;
     eval_options.mcrp = options.mcrp;
     eval_options.want_schedule = true;
-    return evaluate_k_periodic(g, rv, for_k, eval_options).schedule;
+    return evaluate_k_periodic(g, rv, for_k, eval_options, serialize).schedule;
   };
 
   // `rounds_done` is always the number of COMPLETED rounds: an abort mid
@@ -166,12 +136,13 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     // pair count, stride-generator work estimate, and — when the previous
     // round's graph is cached — the cost of patching it, which on rounds
     // whose critical circuit touched few tasks is far below a full build.
-    i128 cost = std::min(constraint_pair_count(g, k), constraint_work_estimate(g, k));
+    i128 cost = std::min(constraint_pair_count(g, k, serialize),
+                         constraint_work_estimate(g, k, serialize));
     if (options.incremental && ws.cache.valid) {
       // Only a warm cache changes the price; the cold fallback inside the
       // patch estimate would just recompute the full estimate above.
-      cost = std::min(cost,
-                      constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache));
+      cost = std::min(cost, constraint_patch_work_estimate(g, rv, ws.constraints.k, k, ws.cache,
+                                                           serialize));
     }
     if (cost > options.max_constraint_pairs || out_of_budget()) {
       return finish_resource_limit(round);
@@ -181,8 +152,8 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
     const ConstraintPoll* poll = want_poll ? &round_poll : nullptr;
     const KEvalStatus status =
         options.incremental
-            ? evaluate_k_periodic_round_incremental(g, rv, k, options.mcrp, ws, poll)
-            : evaluate_k_periodic_round(g, rv, k, options.mcrp, ws, poll);
+            ? evaluate_k_periodic_round_incremental(g, rv, k, options.mcrp, ws, poll, serialize)
+            : evaluate_k_periodic_round(g, rv, k, options.mcrp, ws, poll, serialize);
     if (status == KEvalStatus::Aborted) return finish_resource_limit(round);
     result.rounds = round + 1;
     result.mcrp_iterations += ws.solved.iterations;
@@ -248,7 +219,7 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
       best_k.assign(k.begin(), k.end());
     }
 
-    if (!update_k(k, rv, ws.critical_tasks, options.policy)) {
+    if (!update_k(k, rv, ws.critical_tasks)) {
       throw SolverError("kiter: failed optimality test but K did not grow (invariant breach)");
     }
   }
@@ -257,9 +228,9 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
 }
 
 KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
-                             const KIterOptions& options) {
+                             const KIterOptions& options, bool serialize) {
   KIterWorkspace ws;
-  KIterResult r = kiter_throughput(g, rv, options, ws);
+  KIterResult r = kiter_throughput(g, rv, options, ws, serialize);
   // Optimal and Deadlock are the exits that passed the optimality test; the
   // workspace still holds that round's constraint graph and circuit.
   if (r.status == ThroughputStatus::Optimal || r.status == ThroughputStatus::Deadlock) {
@@ -268,8 +239,8 @@ KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
   return r;
 }
 
-KIterResult kiter_throughput(const CsdfGraph& g, const KIterOptions& options) {
-  return kiter_throughput(g, compute_repetition_vector(g), options);
+KIterResult kiter_throughput(const CsdfGraph& g, const KIterOptions& options, bool serialize) {
+  return kiter_throughput(g, compute_repetition_vector(g), options, serialize);
 }
 
 }  // namespace kp

@@ -43,12 +43,10 @@ enum class ThroughputStatus {
                   ///< bound found so far when has_feasible_bound is set
 };
 
-/// How K grows when the optimality test fails — the paper's rule plus two
-/// ablation alternatives (bench/bench_ablation_kpolicy compares them).
+/// How K grows when the optimality test fails (README, "K-update
+/// policies", records why the paper's rule is the only one).
 enum class KUpdatePolicy {
   PaperLcm,  ///< K_t <- lcm(K_t, q̄_t) for tasks on the circuit (Algorithm 1)
-  JumpToQ,   ///< K_t <- q_t for tasks on the circuit (one-shot optimal K)
-  Doubling,  ///< K_t <- smallest divisor of q_t >= 2·K_t on the circuit
 };
 
 struct KIterRound {
@@ -63,7 +61,7 @@ struct KIterRound {
 
 struct KIterOptions {
   McrpOptions mcrp{};
-  KUpdatePolicy policy = KUpdatePolicy::PaperLcm;
+  KUpdatePolicy policy = KUpdatePolicy::PaperLcm;  ///< one value; still a request key word
 
   /// Warm-start seed for the periodicity vector (off by default: nullptr =
   /// the all-ones cold start of Algorithm 1). The iteration converges to
@@ -180,17 +178,22 @@ struct KIterResult {
   KPeriodicSchedule schedule;
 };
 
+/// `serialize` applies the serial rule (core/constraints.hpp): the result
+/// of analyzing add_serialization_buffers(g), without that copy.
 [[nodiscard]] KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
-                                           const KIterOptions& options = {});
+                                           const KIterOptions& options = {},
+                                           bool serialize = false);
 
 /// Workspace-reusing variant for batch analysis: every round runs inside
 /// `ws` without allocating once warm (see the header comment). One
 /// workspace may serve any number of consecutive analyses.
 [[nodiscard]] KIterResult kiter_throughput(const CsdfGraph& g, const RepetitionVector& rv,
-                                           const KIterOptions& options, KIterWorkspace& ws);
+                                           const KIterOptions& options, KIterWorkspace& ws,
+                                           bool serialize = false);
 
 /// Convenience: computes the repetition vector internally (throws
 /// ModelError if the graph is inconsistent).
-[[nodiscard]] KIterResult kiter_throughput(const CsdfGraph& g, const KIterOptions& options = {});
+[[nodiscard]] KIterResult kiter_throughput(const CsdfGraph& g, const KIterOptions& options = {},
+                                           bool serialize = false);
 
 }  // namespace kp

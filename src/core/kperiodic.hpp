@@ -127,10 +127,12 @@ struct KIterWorkspace {
 /// circuit. The period for a Feasible round is ws.solved.ratio. A non-null
 /// `poll` is forwarded into constraint generation (see ConstraintPoll);
 /// when it fires the round returns Aborted and the workspace holds a
-/// partial graph that must not be read.
+/// partial graph that must not be read. `serialize` applies the serial rule
+/// (core/constraints.hpp) here and in every evaluator below.
 KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector& rv,
                                       const std::vector<i64>& k, const McrpOptions& mcrp,
-                                      KIterWorkspace& ws, const ConstraintPoll* poll = nullptr);
+                                      KIterWorkspace& ws, const ConstraintPoll* poll = nullptr,
+                                      bool serialize = false);
 
 /// Incremental variant: constraint generation routes through ws.cache
 /// (build_constraint_graph_incremental) — when the cache is warm and only a
@@ -147,7 +149,8 @@ KEvalStatus evaluate_k_periodic_round(const CsdfGraph& g, const RepetitionVector
 KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k,
                                                   const McrpOptions& mcrp, KIterWorkspace& ws,
-                                                  const ConstraintPoll* poll = nullptr);
+                                                  const ConstraintPoll* poll = nullptr,
+                                                  bool serialize = false);
 
 /// Assembles the complete schedule from already-solved node potentials.
 /// Shared by evaluate_k_periodic and the K-iteration finale (which computes
@@ -158,7 +161,8 @@ KEvalStatus evaluate_k_periodic_round_incremental(const CsdfGraph& g, const Repe
 
 [[nodiscard]] KPeriodicResult evaluate_k_periodic(const CsdfGraph& g, const RepetitionVector& rv,
                                                   const std::vector<i64>& k,
-                                                  const KEvalOptions& options = {});
+                                                  const KEvalOptions& options = {},
+                                                  bool serialize = false);
 
 /// The 1-periodic baseline [4]: evaluate_k_periodic with K_t = 1 for all t.
 [[nodiscard]] KPeriodicResult periodic_schedule(const CsdfGraph& g, const RepetitionVector& rv,

@@ -231,6 +231,13 @@ const std::vector<BufferId>& CsdfGraph::in_buffers(TaskId t) const {
   return data_->in_by_task[static_cast<std::size_t>(t)];
 }
 
+bool CsdfGraph::has_self_loop(TaskId t) const {
+  const std::vector<BufferId>& outs = out_buffers(t);
+  return std::any_of(outs.begin(), outs.end(), [&](BufferId b) {
+    return data_->buffers[static_cast<std::size_t>(b)].is_self_loop();
+  });
+}
+
 std::optional<TaskId> CsdfGraph::find_task(std::string_view name) const noexcept {
   const std::vector<Task>& ts = tasks();
   for (std::size_t t = 0; t < ts.size(); ++t) {

@@ -144,6 +144,11 @@ class CsdfGraph {
   [[nodiscard]] const std::vector<BufferId>& out_buffers(TaskId t) const;
   [[nodiscard]] const std::vector<BufferId>& in_buffers(TaskId t) const;
 
+  /// True when some buffer of t is a self-loop (task serialization, in
+  /// add_serialization_buffers or the constraint builder's serial rule,
+  /// leaves such a task alone).
+  [[nodiscard]] bool has_self_loop(TaskId t) const;
+
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const noexcept;
 
   // ---- the paper's token-count formulas (§3.1) -----------------------------

@@ -16,23 +16,14 @@ std::vector<i64> repeat_vector(const std::vector<i64>& v, i64 times) {
 
 }  // namespace
 
-void serialize_tasks_in_place(CsdfGraph& g) {
-  for (TaskId t = 0; t < g.task_count(); ++t) {
-    // Decided before add_buffer grows t's adjacency list.
-    const auto& outs = g.out_buffers(t);
-    const bool has_self = std::any_of(outs.begin(), outs.end(), [&](BufferId bid) {
-      return g.buffer(bid).is_self_loop();
-    });
-    if (has_self) continue;
-    const auto phi = static_cast<std::size_t>(g.phases(t));
-    g.add_buffer("serial:" + g.task(t).name, t, t, std::vector<i64>(phi, 1),
-                 std::vector<i64>(phi, 1), 1);
-  }
-}
-
 CsdfGraph add_serialization_buffers(const CsdfGraph& g) {
   CsdfGraph out = g;
-  serialize_tasks_in_place(out);
+  for (TaskId t = 0; t < out.task_count(); ++t) {
+    if (out.has_self_loop(t)) continue;
+    const auto phi = static_cast<std::size_t>(out.phases(t));
+    out.add_buffer("serial:" + out.task(t).name, t, t, std::vector<i64>(phi, 1),
+                   std::vector<i64>(phi, 1), 1);
+  }
   return out;
 }
 

@@ -1,10 +1,9 @@
 // Model-to-model transformations.
 //
-// * add_serialization_buffers / serialize_tasks_in_place — make task
-//   iterations non-reentrant by adding a one-token self-buffer per task
-//   (SDF3's "disable auto-concurrency"). All analyses in this library
-//   operate on the graph as given; the façade applies this transform first
-//   so every method shares one semantics.
+// * add_serialization_buffers — make task iterations non-reentrant by
+//   adding a one-token self-buffer per task (SDF3's "disable
+//   auto-concurrency"). All analyses operate on the graph as given; this
+//   is the reference transform K-Iter's serial rule reproduces.
 // * apply_buffer_capacities — model bounded buffers by reverse arcs, the
 //   transformation the paper's "fixed buffer size" rows rely on.
 // * expand_phases — the §3.2 duplication G̃ of the phase vectors (K_t copies
@@ -21,17 +20,13 @@
 
 namespace kp {
 
-/// Gives every task of g that has no self-buffer one named "serial:<task>",
-/// with unit rates on every phase and a single initial token, appended in
-/// task order. The resulting execution semantics: one phase of a task at a
-/// time, iterations in order. Existing tasks and buffers keep their ids and
-/// content. On a graph that shares its storage (a request's copy of the
-/// caller's graph, say) the first added buffer detaches it once; a graph
-/// whose tasks all have self-loops is left untouched and stays shared.
-/// Idempotent.
-void serialize_tasks_in_place(CsdfGraph& g);
-
-/// A copy of g with serialize_tasks_in_place applied; g is left unchanged.
+/// A copy of g where every task that has no self-buffer gets one named
+/// "serial:<task>", with unit rates on every phase and a single initial
+/// token, appended in task order. The resulting execution semantics: one
+/// phase of a task at a time, iterations in order. Existing tasks and
+/// buffers keep their ids and content; g is left unchanged. Idempotent.
+/// The baseline methods and the scenario simulator analyze this copy;
+/// K-Iter applies the constraint rule instead (core/constraints.hpp).
 [[nodiscard]] CsdfGraph add_serialization_buffers(const CsdfGraph& g);
 
 /// Returns a copy of g where buffer i is given capacity `capacities[i]` by
@@ -105,9 +100,9 @@ void apply_delta(CsdfGraph& g, const GraphDelta& d);
 /// Checks that every edit in `d` names a task/buffer id `base` has, with the
 /// same positional error messages apply_delta produces. Cheap (no graph
 /// mutation): the service layer runs this before dispatching a batch so a
-/// bad id is reported against the BASE graph rather than a worker's
-/// serialization-augmented copy. Value/shape validity (vector sizes,
-/// negative values) is still only checked on apply.
+/// bad id is reported against the BASE graph, never against a
+/// serialization-augmented copy (the scenario simulator's). Value/shape
+/// validity (vector sizes, negative values) is still only checked on apply.
 void validate_delta_targets(const CsdfGraph& base, const GraphDelta& d);
 
 /// Restores the base values of every field `d` names, turning a variant

@@ -43,9 +43,9 @@ ModeSequenceResult simulate_mode_sequence(const ScenarioGraph& s,
   ModeSequenceResult out;
   Stopwatch clock;
 
-  // Mirror the analysis workers: serialize the base once, keep ONE
-  // materialized variant graph for the whole walk and morph it between
-  // modes by revert + apply (O(delta), no per-visit copy). The round-trip
+  // Serialize the base once (the simulator needs the self-buffers as real
+  // buffers), keep ONE materialized variant graph for the whole walk and
+  // morph it between modes by revert + apply (O(delta), no per-visit copy). The round-trip
   // bit-identity of apply/revert (tests/test_variants.cpp) is what makes
   // this safe.
   const CsdfGraph prepared =

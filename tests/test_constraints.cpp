@@ -10,10 +10,12 @@
 #include <map>
 
 #include "core/constraints.hpp"
+#include "core/kiter.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
 #include "model/repetition.hpp"
 #include "model/transform.hpp"
+#include "serial_rule.hpp"
 
 namespace kp {
 namespace {
@@ -196,6 +198,101 @@ TEST_P(DuplicationEquivalence, DirectMatchesExplicit) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DuplicationEquivalence, ::testing::Values(51, 52, 53, 54, 55));
+
+// ---- the serial rule ≡ add_serialization_buffers ----------------------------
+
+/// Builds (g, k) with the serial rule and (add_serialization_buffers(g), k)
+/// without it: identical graphs, pair counts and work estimates.
+void expect_rule_matches_edit(const CsdfGraph& g, const CsdfGraph& serialized,
+                              const RepetitionVector& rv, const std::vector<i64>& k,
+                              const std::string& context) {
+  expect_same_constraint_graph(build_constraint_graph(g, rv, k, /*serialize=*/true),
+                               build_constraint_graph(serialized, rv, k), context);
+  EXPECT_EQ(constraint_pair_count(g, k, true), constraint_pair_count(serialized, k)) << context;
+  EXPECT_EQ(constraint_work_estimate(g, k, true), constraint_work_estimate(serialized, k))
+      << context;
+}
+
+/// Every K a K-Iter run over the serialized graph visits.
+void expect_rule_matches_edit_along_kiter(const CsdfGraph& g, const std::string& what) {
+  const CsdfGraph serialized = add_serialization_buffers(g);
+  const RepetitionVector rv = compute_repetition_vector(g);
+  ASSERT_TRUE(rv.consistent) << what;
+  ASSERT_EQ(compute_repetition_vector(serialized).q, rv.q) << what;
+  KIterOptions options;
+  options.record_trace = true;
+  options.incremental = false;
+  const KIterResult traced = kiter_throughput(serialized, rv, options);
+  ASSERT_FALSE(traced.trace.empty()) << what;
+  for (std::size_t round = 0; round < traced.trace.size(); ++round) {
+    expect_rule_matches_edit(g, serialized, rv, traced.trace[round].k,
+                             what + " round " + std::to_string(round));
+  }
+}
+
+TEST(SerialRule, MatchesSerializedGraphOnTable1) {
+  for (const NamedGraph& ng : table1_graphs()) expect_rule_matches_edit_along_kiter(ng.graph, ng.name);
+}
+
+TEST(SerialRule, MatchesSerializedGraphOnRandomCsdfWithSelfLoops) {
+  Rng rng(20261019);
+  int skipped_some = 0;
+  for (int i = 0; i < 150; ++i) {
+    const CsdfGraph g = random_csdf_with_self_loops(rng);
+    const std::string what = "random graph " + std::to_string(i);
+    expect_rule_matches_edit_along_kiter(g, what);
+    // Random K too, not only the ones K-Iter visits (any K >= 1 is a valid
+    // build input).
+    const CsdfGraph serialized = add_serialization_buffers(g);
+    const RepetitionVector rv = compute_repetition_vector(g);
+    std::vector<i64> k(static_cast<std::size_t>(g.task_count()));
+    for (i64& v : k) v = rng.uniform(1, 6);
+    expect_rule_matches_edit(g, serialized, rv, k, what + " random K");
+    skipped_some += serialized.buffer_count() < g.buffer_count() + g.task_count();
+  }
+  EXPECT_GT(skipped_some, 0);  // some tasks came with their own self-loop
+}
+
+TEST(SerialRule, ClosedFormEstimatesOverKAndPhaseCounts) {
+  // One task, φ phases, no buffers: the serial block alone, at every
+  // (K_t, φ) corner of the work estimate's closed form.
+  for (std::int32_t phi = 1; phi <= 5; ++phi) {
+    for (i64 kt = 1; kt <= 12; ++kt) {
+      CsdfGraph g;
+      std::vector<i64> durations(static_cast<std::size_t>(phi));
+      for (std::size_t p = 0; p < durations.size(); ++p) durations[p] = static_cast<i64>(p) + 2;
+      (void)g.add_task("t", durations);
+      const std::string what = "phi=" + std::to_string(phi) + " K=" + std::to_string(kt);
+      expect_rule_matches_edit(g, add_serialization_buffers(g), compute_repetition_vector(g),
+                               {kt}, what);
+    }
+  }
+}
+
+TEST(SerialRule, HandComputedBlock) {
+  // Task B of figure 2 (3 phases, q = 4) at K_B = 2: six arcs in node
+  // order, L = the source phase's duration, H = 0 except the wrap-around
+  // arc, H = K_B / q_B = 1/2.
+  CsdfGraph g = figure2_graph();
+  const TaskId b = *g.find_task("B");
+  g.set_durations(b, std::vector<i64>{2, 3, 5});
+  const RepetitionVector rv = compute_repetition_vector(g);
+  std::vector<i64> k(static_cast<std::size_t>(g.task_count()), 1);
+  k[static_cast<std::size_t>(b)] = 2;
+  const ConstraintGraph plain = build_constraint_graph(g, rv, k);
+  const ConstraintGraph cg = build_constraint_graph(g, rv, k, /*serialize=*/true);
+  // Serial blocks follow the real buffers in task order: A's block
+  // (K_A·φ(A) = 2 arcs) comes first.
+  std::int32_t arc = plain.graph.arc_count() + static_cast<std::int32_t>(k[0]) * g.phases(0);
+  const std::int32_t first = cg.task_first_node[static_cast<std::size_t>(b)];
+  for (std::int32_t i = 0; i < 6; ++i, ++arc) {
+    const auto& e = cg.graph.graph().arc(arc);
+    EXPECT_EQ(e.src, first + i);
+    EXPECT_EQ(e.dst, i < 5 ? first + i + 1 : first);
+    EXPECT_EQ(cg.graph.cost(arc), g.duration(b, i % 3 + 1));
+    EXPECT_EQ(cg.graph.time(arc), i < 5 ? Rational{0} : Rational::of(1, 2));
+  }
+}
 
 }  // namespace
 }  // namespace kp

@@ -14,6 +14,13 @@
 //      KIterWorkspace contract extends to the ping-pong splice target).
 //   5. KIterResult::rounds counts completed rounds only, identically on
 //      mid-build and mid-patch aborts (== trace.size()).
+//   6. The serial rule patches exactly like the graph edit it replaces:
+//      on every Table-1 graph and on random graphs with some self-loops,
+//      every K-Iter round (and a durations-only and a marking variant after
+//      it) gives the same graph, CSR, patch estimate and round counters as
+//      the same rounds over add_serialization_buffers(g); a q change
+//      regenerates the serial block; and the rule setting is part of the
+//      cache key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,9 +32,12 @@
 #include "core/kiter.hpp"
 #include "core/kperiodic.hpp"
 #include "gen/csdf_apps.hpp"
+#include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
 #include "mcrp/cycle_ratio.hpp"
 #include "model/repetition.hpp"
+#include "model/transform.hpp"
+#include "serial_rule.hpp"
 
 namespace kp {
 namespace {
@@ -320,6 +330,143 @@ TEST(Incremental, WorkspaceReuseAcrossDifferentGraphsMatchesFreshRuns) {
     EXPECT_EQ(with_shared.period, fresh.period) << "round " << round;
     EXPECT_EQ(with_shared.k, fresh.k) << "round " << round;
     EXPECT_EQ(with_shared.rounds, fresh.rounds) << "round " << round;
+  }
+}
+
+// ---- 6. the serial rule on the patch path ------------------------------------
+
+/// Runs one incremental round of (g, k) with the rule on `rule` and of
+/// (serialized, k) without it on `edit`, checks the patch estimate both
+/// price beforehand, then the graphs and what the round did.
+void expect_rule_round_matches_edit(const CsdfGraph& g, const CsdfGraph& serialized,
+                                    const RepetitionVector& rv, const std::vector<i64>& k,
+                                    KIterWorkspace& rule, KIterWorkspace& edit,
+                                    const std::string& context) {
+  EXPECT_EQ(constraint_patch_work_estimate(g, rv, rule.constraints.k, k, rule.cache, true),
+            constraint_patch_work_estimate(serialized, rv, edit.constraints.k, k, edit.cache))
+      << context;
+  const i64 patched = rule.cache.patched_rounds - edit.cache.patched_rounds;
+  const i64 rebuilt = rule.cache.rebuilt_rounds - edit.cache.rebuilt_rounds;
+  const i64 payload = rule.cache.payload_rounds - edit.cache.payload_rounds;
+  ASSERT_NE(evaluate_k_periodic_round_incremental(g, rv, k, McrpOptions{}, rule, nullptr, true),
+            KEvalStatus::Aborted);
+  ASSERT_NE(evaluate_k_periodic_round_incremental(serialized, rv, k, McrpOptions{}, edit),
+            KEvalStatus::Aborted);
+  expect_same_constraint_graph(rule.constraints, edit.constraints, context);
+  EXPECT_EQ(rule.cache.patched_rounds - edit.cache.patched_rounds, patched) << context;
+  EXPECT_EQ(rule.cache.rebuilt_rounds - edit.cache.rebuilt_rounds, rebuilt) << context;
+  EXPECT_EQ(rule.cache.payload_rounds - edit.cache.payload_rounds, payload) << context;
+  EXPECT_EQ(rule.cache.last_regenerated_buffers, edit.cache.last_regenerated_buffers) << context;
+}
+
+TEST(Incremental, SerialRuleMatchesSerializedGraphOnEveryPatchedRound) {
+  std::vector<NamedGraph> graphs = table1_graphs();
+  Rng rng(20261020);
+  for (int i = 0; i < 100; ++i) {
+    graphs.push_back({"random " + std::to_string(i), random_csdf_with_self_loops(rng)});
+  }
+  // Shared across graphs, like a service worker's: a new graph re-keys.
+  KIterWorkspace rule;
+  KIterWorkspace edit;
+  i64 patched_before = rule.cache.patched_rounds;
+  i64 payload_before = rule.cache.payload_rounds;
+  for (const NamedGraph& ng : graphs) {
+    CsdfGraph g = ng.graph;
+    CsdfGraph serialized = add_serialization_buffers(g);
+    const RepetitionVector rv = compute_repetition_vector(g);
+    ASSERT_TRUE(rv.consistent) << ng.name;
+    KIterOptions options;
+    options.record_trace = true;
+    options.incremental = false;
+    const KIterResult traced = kiter_throughput(serialized, rv, options);
+    for (std::size_t round = 0; round < traced.trace.size(); ++round) {
+      expect_rule_round_matches_edit(g, serialized, rv, traced.trace[round].k, rule, edit,
+                                     ng.name + " round " + std::to_string(round));
+    }
+    const std::vector<i64>& k = traced.trace.back().k;
+    // Same-shaped variants at the final K: new durations on task 0 (a
+    // payload patch: serial block recosted), then a new marking on buffer 0
+    // (a content patch). Both graphs take the same edits at the same ids.
+    std::vector<i64> durations = g.task(0).durations;
+    for (i64& d : durations) d += 3;
+    g.set_durations(0, durations);
+    serialized.set_durations(0, durations);
+    expect_rule_round_matches_edit(g, serialized, rv, k, rule, edit, ng.name + " durations");
+    if (g.buffer_count() > 0) {
+      const i64 m0 = g.buffer(0).initial_tokens + 1;
+      g.set_initial_tokens(0, m0);
+      serialized.set_initial_tokens(0, m0);
+      expect_rule_round_matches_edit(g, serialized, rv, k, rule, edit, ng.name + " marking");
+    }
+  }
+  EXPECT_GT(rule.cache.patched_rounds, patched_before);
+  EXPECT_GT(rule.cache.payload_rounds, payload_before);
+}
+
+TEST(Incremental, SerialBlockRegeneratesWhenOnlyQChanges) {
+  // a -> b -> c; retuning b -> c from 1:1 to 2:1 doubles q_c only. The
+  // serial blocks of a and b splice over; c's is regenerated with H = 1/2.
+  CsdfGraph g;
+  const TaskId a = g.add_task("a", 2);
+  const TaskId b = g.add_task("b", std::vector<i64>{1, 4});
+  const TaskId c = g.add_task("c", 3);
+  g.add_buffer("ab", a, b, std::vector<i64>{2}, std::vector<i64>{1, 1}, 0);
+  g.add_buffer("bc", b, c, std::vector<i64>{1, 0}, std::vector<i64>{1}, 0);
+  g.add_buffer("ca", c, a, 1, 1, 2);
+  CsdfGraph serialized = add_serialization_buffers(g);
+  KIterWorkspace rule;
+  KIterWorkspace edit;
+  const std::vector<i64> k{1, 1, 1};
+  RepetitionVector rv = compute_repetition_vector(g);
+  ASSERT_TRUE(rv.consistent);
+  expect_rule_round_matches_edit(g, serialized, rv, k, rule, edit, "before");
+
+  g.set_rates(1, std::vector<i64>{1, 1}, std::vector<i64>{1});
+  serialized.set_rates(1, std::vector<i64>{1, 1}, std::vector<i64>{1});
+  g.set_rates(2, std::vector<i64>{1}, std::vector<i64>{2});
+  serialized.set_rates(2, std::vector<i64>{1}, std::vector<i64>{2});
+  rv = compute_repetition_vector(g);
+  ASSERT_TRUE(rv.consistent);
+  ASSERT_EQ(rv.q, (std::vector<i64>{1, 1, 2}));
+  const i64 patched = rule.cache.patched_rounds;
+  expect_rule_round_matches_edit(g, serialized, rv, k, rule, edit, "after");
+  EXPECT_EQ(rule.cache.patched_rounds, patched + 1);
+  // Buffers bc and ca changed, and c's serial block (q_c moved).
+  EXPECT_EQ(rule.cache.last_regenerated_buffers, 3);
+  const std::int32_t last = rule.constraints.graph.arc_count() - 1;
+  EXPECT_EQ(rule.constraints.graph.time(last), Rational::of(1, 2));
+}
+
+TEST(Incremental, SerialRuleSettingIsPartOfTheCacheKey) {
+  // One workspace alternates the rule on and off over figure 2 and a
+  // same-shaped variant; every run must equal a cold one. If the setting
+  // were not keyed, a run would splice the other setting's spans (with or
+  // without the serial blocks) and its final graph would differ.
+  const CsdfGraph g = figure2_graph();
+  CsdfGraph variant = g;
+  variant.set_durations(1, std::vector<i64>{2, 1, 3});
+  const RepetitionVector rv = compute_repetition_vector(g);
+  ASSERT_NE(kiter_throughput(g, rv, {}, true).period, kiter_throughput(g, rv, {}, false).period);
+
+  KIterWorkspace ws;
+  struct Step {
+    const CsdfGraph* graph;
+    bool serialize;
+  };
+  const Step steps[] = {{&g, true},        {&g, false}, {&variant, true}, {&g, true},
+                        {&variant, false}, {&g, false}, {&variant, true}};
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    const Step& step = steps[i];
+    const std::string context = "step " + std::to_string(i);
+    const KIterResult warm = kiter_throughput(*step.graph, rv, {}, ws, step.serialize);
+    const KIterResult cold = kiter_throughput(*step.graph, rv, {}, step.serialize);
+    EXPECT_EQ(warm.status, cold.status) << context;
+    EXPECT_EQ(warm.period, cold.period) << context;
+    EXPECT_EQ(warm.k, cold.k) << context;
+    EXPECT_EQ(warm.rounds, cold.rounds) << context;
+    EXPECT_EQ(warm.critical_tasks, cold.critical_tasks) << context;
+    expect_same_constraint_graph(
+        ws.constraints, build_constraint_graph(*step.graph, rv, warm.k, step.serialize), context);
   }
 }
 

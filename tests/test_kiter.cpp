@@ -103,14 +103,31 @@ TEST(KIter, ResourceLimitAfterFirstRoundKeepsBound) {
   EXPECT_EQ(r.period, Rational{18});  // the 1-periodic achievable bound
 }
 
-TEST(KIter, UpdatePoliciesAgreeOnFigure2) {
-  for (const KUpdatePolicy policy :
-       {KUpdatePolicy::PaperLcm, KUpdatePolicy::JumpToQ, KUpdatePolicy::Doubling}) {
-    KIterOptions options;
-    options.policy = policy;
-    const KIterResult r = kiter_throughput(serialized_figure2(), options);
-    ASSERT_EQ(r.status, ThroughputStatus::Optimal);
-    EXPECT_EQ(r.period, Rational{13}) << "policy " << static_cast<int>(policy);
+TEST(KIter, SerialRuleMatchesSerializedGraphOnEveryExit) {
+  // The rule reaches every evaluator, the best-bound schedule
+  // re-evaluation of a structural ResourceLimit exit included, and the
+  // estimates gate rounds exactly as the serialized graph's do.
+  KIterOptions optimal;
+  KIterOptions no_round;
+  no_round.max_constraint_pairs = 10;
+  KIterOptions one_round;
+  one_round.max_constraint_pairs = 60;
+  KIterOptions max_rounds;
+  max_rounds.max_rounds = 1;
+  for (const KIterOptions& options : {optimal, no_round, one_round, max_rounds}) {
+    const KIterResult rule = kiter_throughput(figure2_graph(), options, /*serialize=*/true);
+    const KIterResult edit = kiter_throughput(serialized_figure2(), options);
+    EXPECT_EQ(rule.status, edit.status);
+    EXPECT_EQ(rule.has_feasible_bound, edit.has_feasible_bound);
+    EXPECT_EQ(rule.period, edit.period);
+    EXPECT_EQ(rule.k, edit.k);
+    EXPECT_EQ(rule.rounds, edit.rounds);
+    EXPECT_EQ(rule.critical_tasks, edit.critical_tasks);
+    EXPECT_EQ(rule.critical_description, edit.critical_description);
+    EXPECT_EQ(rule.schedule.k, edit.schedule.k);
+    EXPECT_EQ(rule.schedule.period, edit.schedule.period);
+    EXPECT_EQ(rule.schedule.starts, edit.schedule.starts);
+    EXPECT_EQ(rule.schedule.task_periods, edit.schedule.task_periods);
   }
 }
 
@@ -229,34 +246,6 @@ TEST_P(DeadlockAgreement, KIterMatchesSimulator) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeadlockAgreement, ::testing::Values(201, 202, 203, 204));
-
-// Policy property: all update policies reach the same (optimal) value.
-class PolicyAgreement : public ::testing::TestWithParam<u64> {};
-
-TEST_P(PolicyAgreement, AllPoliciesSameThroughput) {
-  Rng rng(GetParam());
-  RandomCsdfOptions options;
-  options.max_tasks = 6;
-  options.max_phases = 2;
-  options.max_q = 6;
-  for (int round = 0; round < 10; ++round) {
-    const CsdfGraph g = add_serialization_buffers(random_csdf(rng, options));
-    const RepetitionVector rv = compute_repetition_vector(g);
-    KIterOptions base;
-    const KIterResult ref = kiter_throughput(g, rv, base);
-    for (const KUpdatePolicy policy : {KUpdatePolicy::JumpToQ, KUpdatePolicy::Doubling}) {
-      KIterOptions options2;
-      options2.policy = policy;
-      const KIterResult other = kiter_throughput(g, rv, options2);
-      EXPECT_EQ(other.status, ref.status) << "round " << round;
-      if (ref.status == ThroughputStatus::Optimal) {
-        EXPECT_EQ(other.period, ref.period) << "round " << round;
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PolicyAgreement, ::testing::Values(301, 302, 303));
 
 }  // namespace
 }  // namespace kp

@@ -213,6 +213,19 @@ std::vector<std::pair<std::string, std::function<void(CsdfGraph&)>>> mutators() 
   };
 }
 
+/// add_serialization_buffers' result built in place through add_buffer: a
+/// unit one-token self-buffer on every task without a self-loop, several
+/// growths of the buffer and adjacency vectors of one graph that may share
+/// its storage.
+void add_unit_self_loops(CsdfGraph& g) {
+  for (TaskId t = 0; t < g.task_count(); ++t) {
+    if (g.has_self_loop(t)) continue;
+    const auto phi = static_cast<std::size_t>(g.phases(t));
+    (void)g.add_buffer("serial:" + g.task(t).name, t, t, std::vector<i64>(phi, 1),
+                       std::vector<i64>(phi, 1), 1);
+  }
+}
+
 TEST(CopyOnWrite, CopiesShareUntilOneIsMutated) {
   const CsdfGraph original = figure2_graph();
   CsdfGraph copy = original;
@@ -255,9 +268,13 @@ TEST(CopyOnWrite, TransformsOnACopyLeaveTheOriginalUnchanged) {
   const CsdfGraph original = figure2_graph();
   const Snapshot before = snapshot(original);
 
-  CsdfGraph serialized = original;
-  serialize_tasks_in_place(serialized);
+  const CsdfGraph serialized = add_serialization_buffers(original);
   EXPECT_EQ(serialized.buffer_count(), original.buffer_count() + original.task_count());
+  EXPECT_EQ(snapshot(original), before);
+
+  CsdfGraph grown = original;
+  add_unit_self_loops(grown);
+  EXPECT_EQ(snapshot(grown), snapshot(serialized));
   EXPECT_EQ(snapshot(original), before);
 
   GraphDelta delta;
@@ -289,7 +306,7 @@ TEST(CopyOnWrite, TransformsOnTheOriginalLeaveACopyUnchanged) {
   CsdfGraph original = figure2_graph();
   const CsdfGraph copy = original;
   const Snapshot before = snapshot(copy);
-  serialize_tasks_in_place(original);
+  add_unit_self_loops(original);
   apply_delta(original, delta);
   EXPECT_EQ(snapshot(copy), before);
   EXPECT_NE(snapshot(original), before);
@@ -409,7 +426,7 @@ TEST(CopyOnWrite, ConcurrentCopiesOfOneSharedGraphAreRaceFree) {
     threads.emplace_back([&] {
       for (int i = 0; i < 500; ++i) {
         CsdfGraph copy = original;
-        serialize_tasks_in_place(copy);
+        add_unit_self_loops(copy);
         const Analysis a = analyze_throughput(copy, Method::KIter);
         if (a.period != reference.period || a.detail != reference.detail) ++wrong;
       }

@@ -6,11 +6,14 @@
 //     analyze_throughput, on a 200-graph random sweep that mixes Value,
 //     Deadlock, Unbounded and (deterministic) Budget requests — all served
 //     through long-lived per-worker workspaces;
-//   * submit()/wait() returns the same results asynchronously; a submitted
-//     graph is serialized in place on the worker, and that path matches
+//   * submit()/wait() returns the same results asynchronously, matching
 //     analyze_batch and analyze bit-for-bit on Table-1 graphs (critical
-//     cycles through the added self-loops included) and shares their
-//     result-cache entries;
+//     cycles through the serialization self-loops included), and shares
+//     their result-cache entries;
+//   * K-Iter's serial rule is the graph edit: on every Table-1 graph and
+//     the quick Table-2 rows, analyze(g) equals analyze of
+//     add_serialization_buffers(g) with serialize_tasks off, field for
+//     field;
 //   * a CancelToken fired mid-run (from inside the poll chain, so the test
 //     is deterministic) stops K-Iter with Outcome::Budget and does not
 //     disturb the other requests of the batch;
@@ -41,6 +44,7 @@
 #include "gen/random_csdf.hpp"
 #include "model/repetition.hpp"
 #include "model/transform.hpp"
+#include "serial_rule.hpp"
 #include "util/hash.hpp"
 
 namespace kp {
@@ -221,14 +225,7 @@ std::vector<i64> content_words(const CsdfGraph& g) {
   return words;
 }
 
-bool has_self_loop(const CsdfGraph& g, TaskId t) {
-  for (const BufferId b : g.out_buffers(t)) {
-    if (g.buffer(b).is_self_loop()) return true;
-  }
-  return false;
-}
-
-TEST(ThroughputService, SubmitInPlaceMatchesBatchAndAnalyzeOnTable1) {
+TEST(ThroughputService, SubmitMatchesBatchAndAnalyzeOnTable1) {
   std::vector<NamedGraph> graphs = make_actual_dsp();
   for (auto&& part : {make_mimic_dsp(20160605, 12), make_lg_hsdf(20160606, 8),
                       make_lg_transient(20160607, 8)}) {
@@ -241,9 +238,8 @@ TEST(ThroughputService, SubmitInPlaceMatchesBatchAndAnalyzeOnTable1) {
     requests.push_back(AnalysisRequest{.graph = ng.graph, .options = options});
   }
 
-  // Cache off, so every entry point runs its own solve: analyze_batch and
-  // analyze serialize a copy of the caller's graph, submit serializes the
-  // job's own graph in place.
+  // Cache off, so every entry point runs its own solve, each on a graph
+  // object sharing the caller's storage.
   ThroughputService service(ServiceOptions{.threads = 2, .result_cache_capacity = 0});
   const std::vector<Analysis> batch = service.analyze_batch(requests);
   int bound_by_serialization = 0;
@@ -259,17 +255,42 @@ TEST(ThroughputService, SubmitInPlaceMatchesBatchAndAnalyzeOnTable1) {
     EXPECT_EQ(content_words(g), before) << graphs[i].name;
     EXPECT_EQ(g.buffer_count(), graphs[i].graph.buffer_count()) << graphs[i].name;
     // A one-task critical cycle on a task the input gives no self-loop
-    // runs through the serial: buffer serialization added.
+    // runs through the serial rule's arcs.
     const std::vector<TaskId>& cycle = submitted.critical_cycle.tasks;
-    if (cycle.size() == 1 && !has_self_loop(g, cycle.front())) ++bound_by_serialization;
+    if (cycle.size() == 1 && !g.has_self_loop(cycle.front())) ++bound_by_serialization;
   }
   EXPECT_GT(bound_by_serialization, 0);
   EXPECT_EQ(service.stats().cache_hits + service.stats().cache_misses, 0u);
 }
 
+TEST(ThroughputService, KIterSerialRuleMatchesSerializedGraph) {
+  // K-Iter serializes by a constraint rule; the baseline methods analyze
+  // add_serialization_buffers' copy. The two must agree field for field:
+  // every Table-1 graph, and every Table-2 row except Echo with fixed
+  // buffers (the one that takes seconds).
+  std::vector<NamedGraph> graphs = table1_graphs();
+  for (auto&& part : {make_csdf_applications(), make_csdf_synthetic()}) {
+    graphs.insert(graphs.end(), part.begin(), part.end());
+  }
+  for (const NamedGraph& ng : make_csdf_applications()) {
+    if (ng.name == "Echo") continue;
+    graphs.push_back({ng.name + " (fixed buffers)", with_buffer_capacities(ng.graph)});
+  }
+  ASSERT_EQ(graphs.size(), 225u + 14u);
+  ThroughputService service(ServiceOptions{.threads = 0, .result_cache_capacity = 0});
+  AnalysisOptions edited;
+  edited.serialize_tasks = false;
+  for (const NamedGraph& ng : graphs) {
+    const Analysis by_rule = service.analyze(ng.graph, Method::KIter, AnalysisOptions{});
+    const Analysis by_edit =
+        service.analyze(add_serialization_buffers(ng.graph), Method::KIter, edited);
+    expect_same_solve(by_rule, by_edit, ng.name);
+  }
+}
+
 TEST(ThroughputService, SubmittedRequestSharesCacheEntryWithBatchAndAnalyze) {
-  // The key of a submitted request is taken before its graph is serialized
-  // in place, so an identical batch or inline request hits its entry.
+  // The key of a submitted request is its content and options, so an
+  // identical batch or inline request hits its entry.
   ThroughputService service(ServiceOptions{.threads = 2});
   const AnalysisRequest req{.graph = make_actual_dsp().front().graph};
   const Analysis submitted = service.wait(service.submit(AnalysisRequest(req)));
@@ -527,7 +548,8 @@ TEST(ThroughputService, SharedGraphBatchMatchesDetachedGraphBatch) {
   EXPECT_EQ(a.cache_misses, b.cache_misses);
   EXPECT_LE(a.cache_misses, graphs.size());
 
-  // Serializing a miss detached it; the callers' graphs are untouched.
+  // No request wrote to the storage it shares: the callers' graphs are
+  // untouched.
   for (std::size_t i = 0; i < graphs.size(); ++i) {
     EXPECT_EQ(content_words(graphs[i]), before[i]) << "graph " << i;
   }
@@ -547,7 +569,7 @@ TEST(ThroughputService, CallerMutationAfterSubmitDoesNotChangeTheTicket) {
       // queued or running on a worker.
       g.set_durations(0, std::vector<i64>(static_cast<std::size_t>(g.phases(0)), 40 + i));
       g.set_initial_tokens(1, g.buffer(1).initial_tokens + 1);
-      serialize_tasks_in_place(g);
+      g = add_serialization_buffers(g);
       EXPECT_NE(analyze_throughput(g, Method::KIter).period, reference.period);
     }
     for (const i64 t : tickets) expect_same_solve(service.wait(t), reference, "ticket");

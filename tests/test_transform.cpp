@@ -1,6 +1,6 @@
-// Tests for model transformations: serialization self-buffers (copying and
-// in place), buffer capacities (reverse arcs) and the §3.2 phase
-// duplication.
+// Tests for model transformations: serialization self-buffers (against an
+// add_buffer construction, and leaving the shared original untouched),
+// buffer capacities (reverse arcs) and the §3.2 phase duplication.
 #include <gtest/gtest.h>
 
 #include "core/constraints.hpp"
@@ -66,43 +66,51 @@ std::vector<std::string> buffer_names(const CsdfGraph& g) {
   return names;
 }
 
-/// The in-place transform must give exactly the copying transform's graph,
-/// and leave every original buffer at its id.
-void expect_in_place_matches_copy(const CsdfGraph& g, const std::string& what) {
-  const CsdfGraph copied = add_serialization_buffers(g);
-  CsdfGraph in_place = g;
-  serialize_tasks_in_place(in_place);
-  EXPECT_EQ(content_words(in_place), content_words(copied)) << what;
-  EXPECT_EQ(buffer_names(in_place), buffer_names(copied)) << what;
-  EXPECT_EQ(in_place.name(), g.name()) << what;
-  ASSERT_GE(in_place.buffer_count(), g.buffer_count()) << what;
-  for (BufferId b = 0; b < g.buffer_count(); ++b) {
-    const Buffer& before = g.buffer(b);
-    const Buffer& after = in_place.buffer(b);
-    EXPECT_EQ(after.name, before.name) << what << " buffer " << b;
-    EXPECT_EQ(after.src, before.src) << what << " buffer " << b;
-    EXPECT_EQ(after.dst, before.dst) << what << " buffer " << b;
-    EXPECT_EQ(after.prod, before.prod) << what << " buffer " << b;
-    EXPECT_EQ(after.cons, before.cons) << what << " buffer " << b;
-    EXPECT_EQ(after.initial_tokens, before.initial_tokens) << what << " buffer " << b;
+/// add_serialization_buffers must give exactly the graph add_buffer builds
+/// by hand on a copy — every original buffer at its id, then one "serial:"
+/// buffer per task without a self-loop, in task order — and leave its
+/// argument, whose storage both copies share until their first add,
+/// unchanged.
+void expect_serialization_matches_add_buffer(const CsdfGraph& g, const std::string& what) {
+  const std::vector<i64> before = content_words(g);
+  const CsdfGraph serialized = add_serialization_buffers(g);
+  CsdfGraph by_hand = g;
+  for (TaskId t = 0; t < g.task_count(); ++t) {
+    if (g.has_self_loop(t)) continue;
+    const auto phi = static_cast<std::size_t>(g.phases(t));
+    (void)by_hand.add_buffer("serial:" + g.task(t).name, t, t, std::vector<i64>(phi, 1),
+                             std::vector<i64>(phi, 1), 1);
   }
-  for (TaskId t = 0; t < in_place.task_count(); ++t) {
-    int self = 0;
-    for (const BufferId b : in_place.out_buffers(t)) self += in_place.buffer(b).is_self_loop();
-    EXPECT_GE(self, 1) << what << " task " << in_place.task(t).name;
+  EXPECT_EQ(content_words(serialized), content_words(by_hand)) << what;
+  EXPECT_EQ(buffer_names(serialized), buffer_names(by_hand)) << what;
+  EXPECT_EQ(content_words(g), before) << what;
+  EXPECT_EQ(serialized.name(), g.name()) << what;
+  ASSERT_GE(serialized.buffer_count(), g.buffer_count()) << what;
+  for (BufferId b = 0; b < g.buffer_count(); ++b) {
+    const Buffer& orig = g.buffer(b);
+    const Buffer& after = serialized.buffer(b);
+    EXPECT_EQ(after.name, orig.name) << what << " buffer " << b;
+    EXPECT_EQ(after.src, orig.src) << what << " buffer " << b;
+    EXPECT_EQ(after.dst, orig.dst) << what << " buffer " << b;
+    EXPECT_EQ(after.prod, orig.prod) << what << " buffer " << b;
+    EXPECT_EQ(after.cons, orig.cons) << what << " buffer " << b;
+    EXPECT_EQ(after.initial_tokens, orig.initial_tokens) << what << " buffer " << b;
+  }
+  for (TaskId t = 0; t < serialized.task_count(); ++t) {
+    EXPECT_TRUE(serialized.has_self_loop(t)) << what << " task " << serialized.task(t).name;
   }
 }
 
-TEST(Serialize, InPlaceMatchesCopyOnTable1Generators) {
+TEST(Serialize, MatchesAddBufferOnTable1Generators) {
   std::vector<NamedGraph> graphs = make_actual_dsp();
   for (auto&& part : {make_mimic_dsp(20160605, 25), make_lg_hsdf(20160606, 15),
                       make_lg_transient(20160607, 15)}) {
     graphs.insert(graphs.end(), part.begin(), part.end());
   }
-  for (const NamedGraph& ng : graphs) expect_in_place_matches_copy(ng.graph, ng.name);
+  for (const NamedGraph& ng : graphs) expect_serialization_matches_add_buffer(ng.graph, ng.name);
 }
 
-TEST(Serialize, InPlaceSkipsTasksThatHaveASelfLoop) {
+TEST(Serialize, SkipsTasksThatHaveASelfLoop) {
   CsdfGraph g("partly-serialized");
   const TaskId a = g.add_task("A", std::vector<i64>{1, 2});
   const TaskId b = g.add_task("B", 3);
@@ -112,10 +120,9 @@ TEST(Serialize, InPlaceSkipsTasksThatHaveASelfLoop) {
   g.add_buffer("bc", b, c, std::vector<i64>{3}, std::vector<i64>{1, 1, 1}, 0);
   g.add_buffer("ca", c, a, std::vector<i64>{1, 0, 1}, std::vector<i64>{1, 1}, 4);
   g.add_buffer("c-self", c, c, std::vector<i64>{1, 1, 1}, std::vector<i64>{1, 1, 1}, 1);
-  expect_in_place_matches_copy(g, g.name());
+  expect_serialization_matches_add_buffer(g, g.name());
 
-  CsdfGraph s = g;
-  serialize_tasks_in_place(s);
+  const CsdfGraph s = add_serialization_buffers(g);
   ASSERT_EQ(s.buffer_count(), g.buffer_count() + 1);  // only B lacked one
   const Buffer& added = s.buffer(g.buffer_count());
   EXPECT_EQ(added.name, "serial:B");
@@ -129,12 +136,10 @@ TEST(Serialize, InPlaceSkipsTasksThatHaveASelfLoop) {
   }
 
   // A second pass finds a self-loop on every task and adds nothing.
-  const std::vector<i64> once = content_words(s);
-  serialize_tasks_in_place(s);
-  EXPECT_EQ(content_words(s), once);
+  EXPECT_EQ(content_words(add_serialization_buffers(s)), content_words(s));
 
   // gcd_ring serializes its high-rate tasks itself.
-  expect_in_place_matches_copy(gcd_ring(6), "gcd_ring(6)");
+  expect_serialization_matches_add_buffer(gcd_ring(6), "gcd_ring(6)");
 }
 
 TEST(Capacities, AddsReverseArcs) {

@@ -349,9 +349,8 @@ TEST(Variants, InvalidDeltaThrows) {
   batch.base = gcd_ring(8);
   batch.deltas = exec_time_sweep(batch.base, 1, std::vector<i64>{1});
 
-  // A delta naming a nonexistent base id throws up front — it must never
-  // reach the workers, where ids resolve against the serialization-
-  // augmented copy (a stale buffer id would alias a 'serial:' self-loop).
+  // A delta naming a nonexistent base id throws up front, before any
+  // variant reaches a worker.
   GraphDelta bad_id;
   bad_id.markings.push_back({batch.base.buffer_count(), 5});
   batch.deltas.push_back(bad_id);
