@@ -19,8 +19,9 @@
 //      must be bit-identical to the cache-OFF reference (exit 1 if not).
 //   3. --repeat-mix: duplicate-heavy serving traffic — a pool of unique
 //      graphs resubmitted at 50% and 90% duplicate rates, cache-off vs
-//      cache-on (cold, in-batch late hits) vs resubmit (all hits), all on
-//      ONE worker so the win is the cache, not parallelism.
+//      cache-on (cold: in-batch duplicates collapsed, each unique solved
+//      once, solves_cold in the JSON) vs resubmit (all hits), all on ONE
+//      worker so the win is the cache, not parallelism.
 //
 // All thread counts and cache settings must return bit-identical
 // outcome/period/K sequences — the determinism contract of analyze_batch.
@@ -71,6 +72,7 @@ struct MixResult {
   int requests = 0;
   double hit_rate_cold = 0;      // first pass on a fresh cache
   double hit_rate_resubmit = 0;  // second pass, fully warm
+  u64 solves_cold = 0;           // jobs_executed by the first pass
   double off_graphs_per_sec = 0;
   double cold_graphs_per_sec = 0;
   double resubmit_graphs_per_sec = 0;
@@ -291,18 +293,23 @@ int main(int argc, char** argv) {
         off_ms = std::min(off_ms, clock.elapsed_ms());
       }
 
-      // Cache ON, cold: a fresh service per timing — duplicates are served
-      // by in-batch late hits, uniques still solve (cold workspaces AND
-      // cold cache, deliberately pessimistic for the cache).
+      // Cache ON, cold: a fresh service per timing — duplicates are
+      // collapsed onto their first request before dispatch, uniques still
+      // solve (cold workspaces AND cold cache, deliberately pessimistic for
+      // the cache).
       double cold_ms = 1e300;
       double hit_rate_cold = 0;
+      u64 solves_cold = 0;
       std::vector<Analysis> cold_batch;
       ThroughputService cold_service(ServiceOptions{.threads = 1});
       {
+        const u64 executed_before = cold_service.stats().jobs_executed;
         Stopwatch clock;
         cold_batch = cold_service.analyze_batch(requests);
         cold_ms = clock.elapsed_ms();
-        hit_rate_cold = cold_service.stats().hit_rate();
+        const ServiceStats cold_stats = cold_service.stats();
+        hit_rate_cold = cold_stats.hit_rate();
+        solves_cold = cold_stats.jobs_executed - executed_before;
       }
 
       // Cache ON, resubmit: the same traffic again on the warm service —
@@ -334,6 +341,7 @@ int main(int argc, char** argv) {
       mr.requests = static_cast<int>(requests.size());
       mr.hit_rate_cold = hit_rate_cold;
       mr.hit_rate_resubmit = hit_rate_resub;
+      mr.solves_cold = solves_cold;
       mr.off_graphs_per_sec = n / (off_ms / 1000.0);
       mr.cold_graphs_per_sec = n / (cold_ms / 1000.0);
       mr.resubmit_graphs_per_sec = n / (resub_ms / 1000.0);
@@ -350,7 +358,7 @@ int main(int argc, char** argv) {
   }
 
   std::ofstream json(json_path);
-  json << "{\n  \"schema\": 3,\n  \"sweep\": \"random-csdf\",\n  \"graphs\": " << graphs
+  json << "{\n  \"schema\": 4,\n  \"sweep\": \"random-csdf\",\n  \"graphs\": " << graphs
        << ",\n  \"method\": \"" << method_name(method) << "\",\n  \"hardware_cores\": " << hw
        << ",\n  \"deterministic\": " << (deterministic ? "true" : "false")
        << ",\n  \"cache_identical\": " << (cache_identical ? "true" : "false")
@@ -372,6 +380,7 @@ int main(int argc, char** argv) {
     json << "      {\"dup_rate\": " << mr.dup_rate << ", \"requests\": " << mr.requests
          << ", \"hit_rate_cold\": " << mr.hit_rate_cold
          << ", \"hit_rate_resubmit\": " << mr.hit_rate_resubmit
+         << ", \"solves_cold\": " << mr.solves_cold
          << ", \"off_graphs_per_sec\": " << mr.off_graphs_per_sec
          << ", \"cold_graphs_per_sec\": " << mr.cold_graphs_per_sec
          << ", \"resubmit_graphs_per_sec\": " << mr.resubmit_graphs_per_sec

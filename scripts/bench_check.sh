@@ -57,9 +57,12 @@
 # actually pay on duplicate-heavy serving traffic, measured on ONE worker so
 # the win is the cache and not parallelism: at a 90% duplicate rate the
 # fully-warm resubmission pass must be >= 5x faster than the cache-off
-# baseline of the same run, the cold first pass (in-batch late hits only)
-# must be >= 1.5x, and the measured hit rates must match the constructed
-# duplicate rate. Within-run ratios, machine-relative.
+# baseline of the same run, the cold first pass (in-batch duplicates
+# collapsed, each unique graph solved once) must be >= 1.5x, and the
+# measured hit rates must match the constructed duplicate rate. Within-run
+# ratios, machine-relative. Deterministic beside them: the cold pass's
+# solve count (bench_batch JSON schema 4, solves_cold) must equal the
+# number of unique graphs.
 #
 # Usage: scripts/bench_check.sh [build-dir]   (default: ./build)
 set -euo pipefail
@@ -406,7 +409,7 @@ import json
 import sys
 
 RESUBMIT_FLOOR = 5.0  # fully-warm pass vs cache-off, 90% duplicates, 1 worker
-COLD_FLOOR = 1.5      # cold first pass (in-batch late hits only) vs cache-off
+COLD_FLOOR = 1.5      # cold first pass (in-batch duplicates collapsed) vs cache-off
 
 with open(sys.argv[1]) as f:
     run = json.load(f)
@@ -427,6 +430,7 @@ if not mix:
     )
     sys.exit(1)
 
+unique = run["repeat_mix"].get("unique_graphs")
 failures = []
 for case in mix:
     dup = case["dup_rate"]
@@ -438,8 +442,8 @@ for case in mix:
         f"repeat-mix dup={dup:.0%}: off {case['off_graphs_per_sec']:.0f} g/s, "
         f"cold {case['cold_graphs_per_sec']:.0f} ({cold:.2f}x), "
         f"resubmit {case['resubmit_graphs_per_sec']:.0f} ({resub:.2f}x), "
-        f"hit rate {case['hit_rate_cold']:.1%} cold / {case['hit_rate_resubmit']:.1%} warm "
-        f"{marker}"
+        f"hit rate {case['hit_rate_cold']:.1%} cold / {case['hit_rate_resubmit']:.1%} warm, "
+        f"{case.get('solves_cold', '?')} cold solves for {unique} unique {marker}"
     )
     # The constructed duplicate rate must show up as the cold hit rate (the
     # late-hit path engaged) and the resubmission pass must be all hits.
@@ -447,6 +451,15 @@ for case in mix:
         failures.append(
             f"dup={dup:.0%}: cold hit rate {case['hit_rate_cold']:.1%} far from the "
             f"constructed duplicate rate"
+        )
+    # Each unique graph is solved exactly once by the cold pass: no
+    # duplicate re-solves, whatever the timing.
+    if "solves_cold" not in case:
+        failures.append(f"dup={dup:.0%}: no solves_cold (bench_batch schema < 4?)")
+    elif case["solves_cold"] != unique:
+        failures.append(
+            f"dup={dup:.0%}: cold pass solved {case['solves_cold']} times for "
+            f"{unique} unique graphs"
         )
     if case["hit_rate_resubmit"] < 0.999:
         failures.append(

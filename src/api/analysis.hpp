@@ -97,7 +97,11 @@ struct Analysis {
   // one-shot calls):
   i64 request_id = -1;    ///< batch index, or the ticket submit() returned
   int worker_id = -1;     ///< pool worker that served the request
-  double queue_ms = 0.0;  ///< wait between enqueue and execution start
+  /// Wait between the hand-over to a worker (enqueue; in inline mode, the
+  /// start of the caller's run) and execution start; 0 for a request
+  /// answered from the cache at dispatch or collapsed onto an earlier
+  /// duplicate in its batch.
+  double queue_ms = 0.0;
 };
 
 /// One-shot convenience: serves a single request through a single-worker,

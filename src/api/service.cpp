@@ -1,6 +1,7 @@
 #include "api/service.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <optional>
 #include <utility>
@@ -84,57 +85,64 @@ bool cacheable_request(Method method, const AnalysisOptions& o, double deadline_
   return false;
 }
 
-/// The number of words append_options_words pushes for `method`; keep the
-/// two in step, or build_request_key's reservation stops being exact.
-std::size_t options_word_count(Method method) {
-  switch (method) {
-    case Method::KIter:
-      return 12;
-    case Method::Periodic:
-      return 6;
-    case Method::SymbolicExecution:
-    case Method::Expansion:
-      return 4;
-  }
-  return 0;
-}
+/// A request key's option words, on the stack: K-Iter's 12 is the most
+/// any method writes.
+using OptionWords = std::array<i64, 12>;
 
 /// Every option that can influence a cacheable request's result, flattened
-/// into key words. Options that only shape wall-clock behavior (poll
-/// strides, time budgets) are excluded — cacheable_request already rejects
-/// requests where they could matter.
-void append_options_words(Method method, const AnalysisOptions& o, std::vector<i64>& w) {
-  w.push_back(static_cast<i64>(method));
-  w.push_back(o.serialize_tasks ? 1 : 0);
-  const auto push_mcrp = [&w](const McrpOptions& m) {
-    w.push_back(m.accelerate_with_double ? 1 : 0);
-    w.push_back(m.howard_warm_start ? 1 : 0);
-    w.push_back(m.compute_potentials ? 1 : 0);
-    w.push_back(m.max_iterations);
+/// into the key's leading words; returns how many were written. Options
+/// that only shape wall-clock behavior (poll strides, time budgets) are
+/// excluded — cacheable_request already rejects requests where they could
+/// matter.
+std::size_t options_words(Method method, const AnalysisOptions& o, OptionWords& w) {
+  std::size_t n = 0;
+  const auto push = [&](i64 v) { w[n++] = v; };
+  push(static_cast<i64>(method));
+  push(o.serialize_tasks ? 1 : 0);
+  const auto push_mcrp = [&](const McrpOptions& m) {
+    push(m.accelerate_with_double ? 1 : 0);
+    push(m.howard_warm_start ? 1 : 0);
+    push(m.compute_potentials ? 1 : 0);
+    push(m.max_iterations);
   };
   switch (method) {
     case Method::KIter:
-      w.push_back(static_cast<i64>(o.kiter.policy));
+      push(static_cast<i64>(o.kiter.policy));
       push_mcrp(o.kiter.mcrp);
-      w.push_back(o.kiter.incremental ? 1 : 0);
+      push(o.kiter.incremental ? 1 : 0);
       // i128 structural cap as two words.
-      w.push_back(static_cast<i64>(o.kiter.max_constraint_pairs >> 64));
-      w.push_back(static_cast<i64>(static_cast<u64>(o.kiter.max_constraint_pairs)));
-      w.push_back(o.kiter.max_rounds);
-      w.push_back(o.kiter.record_trace ? 1 : 0);
+      push(static_cast<i64>(o.kiter.max_constraint_pairs >> 64));
+      push(static_cast<i64>(static_cast<u64>(o.kiter.max_constraint_pairs)));
+      push(o.kiter.max_rounds);
+      push(o.kiter.record_trace ? 1 : 0);
       break;
     case Method::Periodic:
       push_mcrp(o.kiter.mcrp);
       break;
     case Method::SymbolicExecution:
-      w.push_back(o.sim.max_states);
-      w.push_back(o.sim.max_firings_per_instant);
+      push(o.sim.max_states);
+      push(o.sim.max_firings_per_instant);
       break;
     case Method::Expansion:
-      w.push_back(o.expansion_max_nodes);
-      w.push_back(o.expansion_max_arcs);
+      push(o.expansion_max_nodes);
+      push(o.expansion_max_arcs);
       break;
   }
+  return n;
+}
+
+/// Fills `key` with the first `count` option words, then g's content
+/// snapshot. `key.words` is reserved to its exact final size first, so a
+/// fresh key costs one allocation and a reused one none once it is large
+/// enough.
+void fill_request_key(const OptionWords& words, std::size_t count, const CsdfGraph& g,
+                      ContentKey& key) {
+  key.words.clear();
+  key.words.reserve(count + content_snapshot_size(g));
+  key.words.insert(key.words.end(), words.begin(),
+                   words.begin() + static_cast<std::ptrdiff_t>(count));
+  append_content_snapshot(g, key.words);
+  key.finalize();
 }
 
 /// The caller's own poll hook (if any) chained behind the request's cancel
@@ -423,7 +431,7 @@ struct ThroughputService::Job {
   const VariantRun* variant = nullptr;
   std::size_t variant_index = 0;
   i64 id = -1;
-  Stopwatch queued;
+  Stopwatch queued;  ///< restarted when the job is handed to a worker
   Analysis result;
   std::exception_ptr error;
 
@@ -523,6 +531,9 @@ ServiceStats ThroughputService::stats() const {
 }
 
 void ThroughputService::enqueue(std::shared_ptr<Job> job, std::size_t shard) {
+  // Queue wait starts here, not when the job was built: the dispatcher's
+  // key and cache passes are not time spent waiting for a worker.
+  job->queued.reset();
   Shard& s = *shards_[shard % shards_.size()];
   {
     std::lock_guard<std::mutex> lk(s.mu);
@@ -610,14 +621,6 @@ void ThroughputService::complete_job(const std::shared_ptr<Job>& job) {
       sync->cv.notify_all();
     }
   }
-}
-
-void ThroughputService::prepare_cache_key(Job& job) const {
-  if (!cache_.enabled() || job.variant != nullptr) return;
-  const AnalysisRequest& req = job.req();
-  if (!cacheable_request(req.method, req.options, req.deadline_ms, req.cancel)) return;
-  build_request_key(req.graph, req.method, req.options, job.key);
-  job.cacheable = true;
 }
 
 bool ThroughputService::try_dispatch_hit(Job& job) {
@@ -861,7 +864,9 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
     Worker& caller = *workers_.back();
     std::lock_guard<std::mutex> wk(caller.in_use);
     // Never parks: every request runs to completion on this thread, so no
-    // other solve can be in flight when one of these claims its key.
+    // other solve can be in flight when one of these claims its key. The
+    // whole batch is handed over now: queue wait starts here.
+    for (const std::shared_ptr<Job>& job : jobs) job->queued.reset();
     for (const std::shared_ptr<Job>& job : jobs) {
       (void)run_job(job, static_cast<int>(workers_.size()) - 1);
     }
@@ -908,16 +913,87 @@ std::vector<Analysis> ThroughputService::dispatch_and_wait(
 }
 
 std::vector<Analysis> ThroughputService::analyze_batch(std::span<const AnalysisRequest> requests) {
+  // In-batch collapse: only the first request of each distinct cacheable
+  // content (its leader) becomes a job; a later request with equal content
+  // is answered with a copy of its leader's result. Identity is the exact
+  // key, found through its digest. A request whose graph shares a leader's
+  // storage block, with equal option words, has the leader's key without
+  // building it (CsdfGraph::storage_id): the caller's span holds every
+  // block for the whole call, so no id is reused or mutated meanwhile.
+  const std::size_t n = requests.size();
   std::vector<std::shared_ptr<Job>> jobs;
-  jobs.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    auto job = std::make_shared<Job>();
-    job->request = &requests[i];
-    job->id = static_cast<i64>(i);
-    prepare_cache_key(*job);
-    jobs.push_back(std::move(job));
+  jobs.reserve(n);
+  std::vector<std::size_t> leader_of(n);  // request -> index into jobs
+  std::unordered_multimap<u64, std::size_t> by_digest;
+  std::unordered_multimap<const void*, std::size_t> by_storage;
+  // The job under construction: a duplicate leaves it (and its key buffer)
+  // for the next request, a leader takes it.
+  std::shared_ptr<Job> scratch;
+  const auto find_leader = [&](const AnalysisRequest& req,
+                               ContentKey& key) -> std::optional<std::size_t> {
+    OptionWords words;
+    const std::size_t count = options_words(req.method, req.options, words);
+    const void* storage = req.graph.storage_id();
+    if (storage != nullptr) {
+      const auto [lo, hi] = by_storage.equal_range(storage);
+      for (auto it = lo; it != hi; ++it) {
+        const std::vector<i64>& lead = jobs[it->second]->key.words;
+        if (lead.size() >= count &&
+            std::equal(words.begin(), words.begin() + static_cast<std::ptrdiff_t>(count),
+                       lead.begin())) {
+          return it->second;
+        }
+      }
+    }
+    fill_request_key(words, count, req.graph, key);
+    const auto [lo, hi] = by_digest.equal_range(key.digest);
+    for (auto it = lo; it != hi; ++it) {
+      if (jobs[it->second]->key == key) {
+        if (storage != nullptr) by_storage.emplace(storage, it->second);
+        return it->second;
+      }
+    }
+    return std::nullopt;
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    const AnalysisRequest& req = requests[i];
+    if (scratch == nullptr) scratch = std::make_shared<Job>();
+    Job& job = *scratch;
+    job.request = &req;
+    job.id = static_cast<i64>(i);
+    job.cacheable = cache_.enabled() &&
+                    cacheable_request(req.method, req.options, req.deadline_ms, req.cancel);
+    if (job.cacheable) {
+      if (const std::optional<std::size_t> leader = find_leader(req, job.key)) {
+        leader_of[i] = *leader;
+        continue;
+      }
+      by_digest.emplace(job.key.digest, jobs.size());
+      if (const void* storage = req.graph.storage_id()) by_storage.emplace(storage, jobs.size());
+    }
+    leader_of[i] = jobs.size();
+    jobs.push_back(std::move(scratch));
   }
-  return dispatch_and_wait(jobs, "analyze_batch");
+
+  // Each duplicate is a cacheable request that does not solve: a hit, even
+  // when its leader's solve throws.
+  if (jobs.size() < n) cache_hits_.fetch_add(n - jobs.size(), std::memory_order_relaxed);
+  std::vector<Analysis> led = dispatch_and_wait(jobs, "analyze_batch");
+  if (jobs.size() == n) return led;
+  std::vector<Analysis> results(n);
+  // Back to front: a leader precedes its duplicates, so they copy its
+  // result before it moves into its own slot.
+  for (std::size_t i = n; i-- > 0;) {
+    Analysis& lead = led[leader_of[i]];
+    if (jobs[leader_of[i]]->id == static_cast<i64>(i)) {
+      results[i] = std::move(lead);
+    } else {
+      results[i] = lead;
+      results[i].request_id = static_cast<i64>(i);
+      results[i].queue_ms = 0.0;  // never queued; worker_id stays the solver's
+    }
+  }
+  return results;
 }
 
 std::vector<Analysis> ThroughputService::analyze_variants(const VariantBatch& batch) {
@@ -984,7 +1060,10 @@ i64 ThroughputService::submit(AnalysisRequest request) {
   // The content key is snapshotted HERE, from the graph the service owns —
   // the caller mutating its (already moved-from) graph afterwards cannot
   // poison the cache.
-  prepare_cache_key(*job);
+  const AnalysisRequest& req = job->owned;
+  job->cacheable = cache_.enabled() &&
+                   cacheable_request(req.method, req.options, req.deadline_ms, req.cancel);
+  if (job->cacheable) build_request_key(req.graph, req.method, req.options, job->key);
   const bool hit = try_dispatch_hit(*job);
   i64 id;
   {
@@ -1013,6 +1092,7 @@ i64 ThroughputService::submit(AnalysisRequest request) {
   } else if (inline_mode()) {
     Worker& caller = *workers_.back();
     std::lock_guard<std::mutex> wk(caller.in_use);
+    job->queued.reset();
     (void)run_job(job, static_cast<int>(workers_.size()) - 1);
     complete_job(job);
   } else {
@@ -1042,11 +1122,8 @@ Analysis ThroughputService::wait(i64 ticket) {
 
 void build_request_key(const CsdfGraph& g, Method method, const AnalysisOptions& o,
                        ContentKey& key) {
-  key.words.clear();
-  key.words.reserve(options_word_count(method) + content_snapshot_size(g));
-  append_options_words(method, o, key.words);
-  append_content_snapshot(g, key.words);
-  key.finalize();
+  OptionWords words;
+  fill_request_key(words, options_words(method, o, words), g, key);
 }
 
 Analysis ThroughputService::analyze(const CsdfGraph& g, Method method,

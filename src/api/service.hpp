@@ -35,11 +35,25 @@
 // identity: the key's digest only routes to a lock stripe
 // (util/lru_cache.hpp), equality compares the flattened words exactly, so
 // a cache hit is guaranteed bit-identical — outcome, period, throughput,
-// detail string, critical_cycle cert — to re-running the solve. A hit
-// found at dispatch bypasses the queue entirely; a duplicate that was
-// already queued when its twin completed is served by a second lookup on
-// the worker (a "late hit" — the solve is skipped, which is where the
-// money is). Solves are single-flight: the first worker to miss on a key
+// detail string, critical_cycle cert — to re-running the solve.
+//
+// A cacheable request passes these steps in order, and the first that
+// answers it ends its path:
+//   1. in-batch collapse (analyze_batch only): a request whose exact key
+//      equals an earlier request's in the same batch never becomes a job;
+//      it gets a copy of that first request's (its leader's) result. A
+//      request whose graph shares the leader's storage block
+//      (CsdfGraph::storage_id) with equal option words is matched without
+//      building its key. Uncacheable requests, and every request while the
+//      cache is off, are never collapsed;
+//   2. dispatch hit: a cache lookup before enqueueing; a hit never enters
+//      a queue;
+//   3. queue: the job waits on a shard for a worker;
+//   4. late hit or join, on the worker: a second lookup serves a job whose
+//      twin completed while it was queued, and a job whose twin is being
+//      solved right now joins that solve (single-flight, below); only a
+//      job that finds neither solves.
+// Solves are single-flight: the first worker to miss on a key
 // registers it in an in-flight table (same exact-compare ContentKey) and
 // owns the solve; a twin dequeued while that solve runs parks on the entry
 // and its worker goes straight back to the queue. The owner inserts the
@@ -186,11 +200,12 @@ struct ServiceOptions {
 /// atomics only; numbers lag in-flight work by at most one increment).
 struct ServiceStats {
   // Content-addressed result cache. misses counts solves a request owned;
-  // hits counts every cacheable request that did not solve: dispatch
-  // bypasses, late hits on a worker, and twins that joined an in-flight
-  // solve of the same key. hits + misses = cacheable requests served, at
-  // any thread count. Uncacheable requests (deadlines, cancel tokens, poll
-  // hooks, variant batches) touch none of these.
+  // hits counts every cacheable request that did not solve: duplicates
+  // collapsed onto an earlier request of the same batch, dispatch bypasses,
+  // late hits on a worker, and twins that joined an in-flight solve of the
+  // same key. hits + misses = cacheable requests served, at any thread
+  // count. Uncacheable requests (deadlines, cancel tokens, poll hooks,
+  // variant batches) touch none of these.
   u64 cache_hits = 0;
   u64 cache_misses = 0;
   u64 cache_evictions = 0;
@@ -203,8 +218,10 @@ struct ServiceStats {
   std::vector<u64> shard_depth_high_water;  ///< max queued jobs ever, per shard
 
   // Latency distributions (util/histogram.hpp): queue = enqueue-to-claim
-  // wait of every job a worker dequeued; solve = execution time of every
-  // analysis actually solved. Percentiles via e.g. queue.percentile_ms(.99).
+  // wait of every job a worker dequeued (Analysis::queue_ms: from the
+  // moment the job is handed to the pool, after the dispatcher's key and
+  // cache passes); solve = execution time of every analysis actually
+  // solved. Percentiles via e.g. queue.percentile_ms(.99).
   LatencyHistogram::Snapshot queue;
   LatencyHistogram::Snapshot solve;
 
@@ -324,7 +341,11 @@ class ThroughputService {
   /// Analyzes every request over the pool. results[i] answers requests[i]
   /// with request_id == i; the value fields (outcome/quality/period/
   /// throughput/k-detail) are deterministic regardless of worker_count()
-  /// and of the result cache being on or off.
+  /// and of the result cache being on or off. With the cache on, each
+  /// distinct cacheable content is dispatched once (see the header
+  /// comment); a collapsed duplicate reports queue_ms == 0 and its
+  /// leader's worker_id and elapsed_ms. With the cache off every request
+  /// is solved.
   [[nodiscard]] std::vector<Analysis> analyze_batch(std::span<const AnalysisRequest> requests);
 
   /// Analyzes every variant of `batch.base` over the pool: results[i]
@@ -398,7 +419,6 @@ class ThroughputService {
 
   void worker_loop(int worker_id);
   [[nodiscard]] bool run_job(const std::shared_ptr<Job>& job, int worker_id);
-  void prepare_cache_key(Job& job) const;
   [[nodiscard]] bool try_dispatch_hit(Job& job);
   enum class Claim { Hit, Joined, Owner };
   [[nodiscard]] Claim claim_solve(const std::shared_ptr<Job>& job, double queue_ms);

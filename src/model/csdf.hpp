@@ -151,6 +151,14 @@ class CsdfGraph {
 
   [[nodiscard]] std::optional<TaskId> find_task(std::string_view name) const noexcept;
 
+  /// The identity of this graph's storage block. Equal ids imply equal
+  /// content: copies share the block until one of them is mutated, and a
+  /// shared block is never mutated (only a sole holder edits in place, and
+  /// keeps its id). Null when the graph holds no block (default-constructed
+  /// or moved-from). An id names a block only while some graph holds it:
+  /// once the last holder lets go, the address may be reused.
+  [[nodiscard]] const void* storage_id() const noexcept { return data_; }
+
   // ---- the paper's token-count formulas (§3.1) -----------------------------
 
   /// Ia<t_p, n>: total data produced into b at the completion of the n-th

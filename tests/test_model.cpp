@@ -242,6 +242,27 @@ TEST(CopyOnWrite, CopiesShareUntilOneIsMutated) {
   EXPECT_EQ(&copy.tasks(), storage);
 }
 
+TEST(CopyOnWrite, StorageIdIsSharedByCopiesAndChangesWhenAMutatorDetaches) {
+  const CsdfGraph original = figure2_graph();
+  ASSERT_NE(original.storage_id(), nullptr);
+  for (const auto& [what, mutate] : mutators()) {
+    CsdfGraph copy = original;
+    EXPECT_EQ(copy.storage_id(), original.storage_id()) << what;
+    mutate(copy);
+    EXPECT_NE(copy.storage_id(), original.storage_id()) << what;
+    EXPECT_NE(copy.storage_id(), nullptr) << what;
+  }
+  // A graph without storage has no id, so two empty graphs never look shared;
+  // two separately built graphs never share one either.
+  const CsdfGraph empty;
+  EXPECT_EQ(empty.storage_id(), nullptr);
+  CsdfGraph moved = original;
+  const CsdfGraph taken = std::move(moved);
+  EXPECT_EQ(moved.storage_id(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(taken.storage_id(), original.storage_id());
+  EXPECT_NE(figure2_graph().storage_id(), original.storage_id());
+}
+
 TEST(CopyOnWrite, EachMutatorOnACopyLeavesTheOriginalUnchanged) {
   for (const auto& [what, mutate] : mutators()) {
     const CsdfGraph original = figure2_graph();

@@ -17,14 +17,23 @@
 //   * a one-worker service with multiple shards must steal everything the
 //     round-robin dealt to foreign shards — a deterministic steal count;
 //   * stats() is coherent after a batch: executed counts, histogram
-//     totals, monotone percentiles, per-shard depth high-water marks.
+//     totals, monotone percentiles, per-shard depth high-water marks;
+//   * analyze_batch collapses in-batch duplicates before dispatch: each
+//     distinct cacheable content is solved once whether its duplicates
+//     share the leader's storage or only its content, requests with other
+//     options or wall-clock controls are never collapsed, a duplicated
+//     throwing request still throws, and two concurrent batches with
+//     overlapping content still solve each distinct content once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/service.hpp"
+#include "gen/categories.hpp"
 #include "gen/csdf_apps.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/random_csdf.hpp"
@@ -345,6 +354,223 @@ TEST(ServingStats, SnapshotIsCoherentAfterBatch) {
   EXPECT_EQ(s.cache_capacity, 4096u);
   EXPECT_GE(s.hit_rate(), 0.0);
   EXPECT_LE(s.hit_rate(), 1.0);
+}
+
+// ---- in-batch duplicate collapse --------------------------------------------
+
+/// The number of distinct result-cache identities among the requests.
+std::size_t distinct_contents(const std::vector<AnalysisRequest>& requests) {
+  std::set<std::vector<i64>> keys;
+  for (const AnalysisRequest& r : requests) {
+    ContentKey key;
+    build_request_key(r.graph, r.method, r.options, key);
+    keys.insert(std::move(key.words));
+  }
+  return keys.size();
+}
+
+/// A copy of g with its own storage block: equal content, another id.
+CsdfGraph detached_copy(const CsdfGraph& g) {
+  CsdfGraph copy = g;
+  copy.set_name(g.name());
+  EXPECT_NE(copy.storage_id(), g.storage_id());
+  return copy;
+}
+
+/// Table-1 graphs (ActualDSP, a few MimicDSP) and random CSDF graphs; each
+/// is requested once as itself, then again through copies sharing its
+/// storage and through detached copies, shuffled together.
+std::vector<AnalysisRequest> duplicate_heavy_batch() {
+  std::vector<CsdfGraph> graphs;
+  for (NamedGraph& ng : make_actual_dsp()) graphs.push_back(std::move(ng.graph));
+  for (NamedGraph& ng : make_mimic_dsp(20261019, 4)) graphs.push_back(std::move(ng.graph));
+  for (CsdfGraph& g : make_unique_graphs(12, 20261020)) graphs.push_back(std::move(g));
+  std::vector<AnalysisRequest> requests;
+  for (int rep = 0; rep < 4; ++rep) {
+    for (std::size_t i = 0; i < graphs.size(); ++i) {
+      AnalysisRequest req;
+      req.graph = rep == 2 && i % 2 == 0 ? detached_copy(graphs[i]) : graphs[i];
+      requests.push_back(std::move(req));
+    }
+  }
+  Rng rng(20261021);
+  rng.shuffle(requests);
+  return requests;
+}
+
+TEST(ServingCollapse, DuplicatesMatchACacheOffReferenceAndSolveOnce) {
+  const std::vector<AnalysisRequest> requests = duplicate_heavy_batch();
+  const std::size_t distinct = distinct_contents(requests);
+  ASSERT_LT(distinct, requests.size());
+
+  ThroughputService reference_service(
+      ServiceOptions{.threads = 0, .result_cache_capacity = 0});
+  const std::vector<Analysis> reference = reference_service.analyze_batch(requests);
+  EXPECT_EQ(reference_service.stats().jobs_executed, requests.size());
+
+  for (const int threads : {0, 2, 5}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThroughputService service(ServiceOptions{.threads = threads});
+    const std::vector<Analysis> batch = service.analyze_batch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    // The first request of each content leads; every later one duplicates.
+    std::set<std::vector<i64>> seen;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_identical_analysis(batch[i], reference[i], static_cast<int>(i));
+      EXPECT_EQ(batch[i].request_id, static_cast<i64>(i));
+      ContentKey key;
+      build_request_key(requests[i].graph, requests[i].method, requests[i].options, key);
+      if (!seen.insert(std::move(key.words)).second) {
+        EXPECT_EQ(batch[i].queue_ms, 0.0) << "duplicate " << i;
+      }
+    }
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.jobs_executed, distinct);
+    EXPECT_EQ(s.cache_misses, distinct);
+    EXPECT_EQ(s.cache_hits + s.cache_misses, requests.size());
+  }
+}
+
+TEST(ServingCollapse, SameStorageWithOtherOptionsIsNotCollapsed) {
+  const CsdfGraph g = figure2_graph();
+  std::vector<AnalysisRequest> requests;
+  for (int rep = 0; rep < 2; ++rep) {
+    requests.push_back(AnalysisRequest{.graph = g});
+    AnalysisRequest unserialized{.graph = g};
+    unserialized.options.serialize_tasks = false;
+    requests.push_back(std::move(unserialized));
+    AnalysisRequest one_round{.graph = g};
+    one_round.options.kiter.max_rounds = 1;
+    requests.push_back(std::move(one_round));
+    requests.push_back(AnalysisRequest{.graph = g, .method = Method::Periodic});
+    requests.push_back(AnalysisRequest{.graph = g, .method = Method::SymbolicExecution});
+  }
+  for (const AnalysisRequest& r : requests) ASSERT_EQ(r.graph.storage_id(), g.storage_id());
+
+  ThroughputService reference_service(
+      ServiceOptions{.threads = 0, .result_cache_capacity = 0});
+  const std::vector<Analysis> reference = reference_service.analyze_batch(requests);
+  for (const int threads : {0, 2, 5}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThroughputService service(ServiceOptions{.threads = threads});
+    const std::vector<Analysis> batch = service.analyze_batch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      expect_identical_analysis(batch[i], reference[i], static_cast<int>(i));
+      EXPECT_EQ(batch[i].request_id, static_cast<i64>(i));
+    }
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.jobs_executed, 5u);  // one per option set, not one per storage block
+    EXPECT_EQ(s.cache_misses, 5u);
+    EXPECT_EQ(s.cache_hits, 5u);
+  }
+}
+
+TEST(ServingCollapse, UncacheableRequestsAndCacheOffBatchesAreNeverCollapsed) {
+  const CsdfGraph g = gcd_ring(5);
+  const CancelToken token = CancelToken::create();  // never fired
+  std::vector<AnalysisRequest> requests;
+  for (int rep = 0; rep < 3; ++rep) {
+    requests.push_back(AnalysisRequest{.graph = g, .deadline_ms = 60000.0});
+    requests.push_back(AnalysisRequest{.graph = g, .cancel = token});
+  }
+  for (const int threads : {0, 2, 5}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThroughputService service(ServiceOptions{.threads = threads});
+    const std::vector<Analysis> batch = service.analyze_batch(requests);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      EXPECT_EQ(batch[i].outcome, Outcome::Value);
+      EXPECT_EQ(batch[i].request_id, static_cast<i64>(i));
+    }
+    ServiceStats s = service.stats();
+    EXPECT_EQ(s.jobs_executed, requests.size());
+    EXPECT_EQ(s.cache_hits, 0u);
+    EXPECT_EQ(s.cache_misses, 0u);
+
+    // Cache off: plain requests with one storage block all solve.
+    ThroughputService off(ServiceOptions{.threads = threads, .result_cache_capacity = 0});
+    const std::vector<AnalysisRequest> plain(6, AnalysisRequest{.graph = g});
+    const std::vector<Analysis> off_batch = off.analyze_batch(plain);
+    for (std::size_t i = 0; i < off_batch.size(); ++i) {
+      expect_identical_analysis(off_batch[i], off_batch[0], static_cast<int>(i));
+      EXPECT_EQ(off_batch[i].request_id, static_cast<i64>(i));
+    }
+    s = off.stats();
+    EXPECT_EQ(s.jobs_executed, plain.size());
+    EXPECT_EQ(s.cache_hits + s.cache_misses, 0u);
+  }
+}
+
+TEST(ServingCollapse, DuplicatedThrowingRequestStillThrows) {
+  // Expansion on a CSDF graph throws ModelError; its duplicates, sharing
+  // storage or not, ride on the one throwing solve.
+  const CsdfGraph g = figure2_graph();
+  const std::vector<AnalysisRequest> requests{
+      AnalysisRequest{.graph = g, .method = Method::Expansion},
+      AnalysisRequest{.graph = gcd_ring(4)},
+      AnalysisRequest{.graph = g, .method = Method::Expansion},
+      AnalysisRequest{.graph = detached_copy(g), .method = Method::Expansion},
+  };
+  for (const int threads : {0, 2, 5}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThroughputService service(ServiceOptions{.threads = threads});
+    EXPECT_THROW((void)service.analyze_batch(requests), ModelError);
+    // A throwing solve is not counted as executed, but it was a miss.
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.jobs_executed, 1u);
+    EXPECT_EQ(s.cache_misses, 2u);
+    EXPECT_EQ(s.cache_hits, 2u);
+  }
+}
+
+TEST(ServingCollapse, ConcurrentBatchesWithOverlappingContentSolveEachContentOnce) {
+  // Two callers at once: batch A holds graphs [0, 30), batch B [15, 45),
+  // each graph three times (once through a detached copy). In-batch
+  // collapse leaves one leader per content and batch; single-flight and
+  // the cache must still solve each distinct content exactly once.
+  const std::vector<CsdfGraph> graphs = make_unique_graphs(45, 20261022);
+  const auto make_batch = [&](std::size_t lo, std::size_t hi) {
+    std::vector<AnalysisRequest> batch;
+    for (int rep = 0; rep < 3; ++rep) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        batch.push_back(AnalysisRequest{.graph = rep == 1 ? detached_copy(graphs[i]) : graphs[i]});
+      }
+    }
+    return batch;
+  };
+  const std::vector<AnalysisRequest> a = make_batch(0, 30);
+  const std::vector<AnalysisRequest> b = make_batch(15, 45);
+  const std::size_t distinct = distinct_contents(make_batch(0, 45));
+
+  ThroughputService reference_service(
+      ServiceOptions{.threads = 0, .result_cache_capacity = 0});
+  const std::vector<Analysis> ref_a = reference_service.analyze_batch(a);
+  const std::vector<Analysis> ref_b = reference_service.analyze_batch(b);
+
+  for (const int threads : {0, 2, 5}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    ThroughputService service(ServiceOptions{.threads = threads});
+    std::vector<Analysis> out_a;
+    std::vector<Analysis> out_b;
+    std::thread other([&] { out_b = service.analyze_batch(b); });
+    out_a = service.analyze_batch(a);
+    other.join();
+    ASSERT_EQ(out_a.size(), a.size());
+    ASSERT_EQ(out_b.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      expect_identical_analysis(out_a[i], ref_a[i], static_cast<int>(i));
+      EXPECT_EQ(out_a[i].request_id, static_cast<i64>(i));
+    }
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      expect_identical_analysis(out_b[i], ref_b[i], static_cast<int>(i));
+      EXPECT_EQ(out_b[i].request_id, static_cast<i64>(i));
+    }
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.jobs_executed, distinct);
+    EXPECT_EQ(s.cache_misses, distinct);
+    EXPECT_EQ(s.cache_hits + s.cache_misses, a.size() + b.size());
+  }
 }
 
 }  // namespace
