@@ -85,15 +85,16 @@ bool cacheable_request(Method method, const AnalysisOptions& o, double deadline_
   return false;
 }
 
-/// A request key's option words, on the stack: K-Iter's 12 is the most
+/// A request key's option words, on the stack: K-Iter's 10 is the most
 /// any method writes.
-using OptionWords = std::array<i64, 12>;
+using OptionWords = std::array<i64, 10>;
 
 /// Every option that can influence a cacheable request's result, flattened
 /// into the key's leading words; returns how many were written. Options
 /// that only shape wall-clock behavior (poll strides, time budgets) are
 /// excluded — cacheable_request already rejects requests where they could
-/// matter.
+/// matter — and so are compute_potentials and record_trace, which the
+/// runners override and no Analysis field reads.
 std::size_t options_words(Method method, const AnalysisOptions& o, OptionWords& w) {
   std::size_t n = 0;
   const auto push = [&](i64 v) { w[n++] = v; };
@@ -102,7 +103,6 @@ std::size_t options_words(Method method, const AnalysisOptions& o, OptionWords& 
   const auto push_mcrp = [&](const McrpOptions& m) {
     push(m.accelerate_with_double ? 1 : 0);
     push(m.howard_warm_start ? 1 : 0);
-    push(m.compute_potentials ? 1 : 0);
     push(m.max_iterations);
   };
   switch (method) {
@@ -114,7 +114,6 @@ std::size_t options_words(Method method, const AnalysisOptions& o, OptionWords& 
       push(static_cast<i64>(o.kiter.max_constraint_pairs >> 64));
       push(static_cast<i64>(static_cast<u64>(o.kiter.max_constraint_pairs)));
       push(o.kiter.max_rounds);
-      push(o.kiter.record_trace ? 1 : 0);
       break;
     case Method::Periodic:
       push_mcrp(o.kiter.mcrp);
@@ -169,10 +168,11 @@ Analysis run_kiter(const CsdfGraph& g, const AnalysisOptions& options, double de
   Analysis a;
   KIterOptions kiter = options.kiter;
   kiter.time_budget_ms = tighten_budget(kiter.time_budget_ms, deadline_ms);
-  // The service never surfaces the schedule (Analysis carries values only),
-  // so the final potentials relaxation is skipped for every request — warm
-  // and cold alike, keeping the two comparable.
+  // The service never surfaces the schedule or the trace (Analysis carries
+  // values only), so the potentials relaxation and the per-round trace
+  // allocations are skipped for every request — warm and cold alike.
   kiter.want_schedule = false;
+  kiter.record_trace = false;
   // Cross-variant warm start: seed from the previous Optimal variant's
   // final K. kiter copies the seed once at entry, so aliasing the sink
   // below is fine.

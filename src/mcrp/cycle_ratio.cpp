@@ -80,7 +80,7 @@ bool parent_graph_cycle(std::int32_t n, McrpScratch& s) {
 }
 
 /// Queue-based (SPFA-style) longest-path relaxation with all-zero sources
-/// over the cyclic core (scratch.cyclic + its CSR). Detects whether a
+/// over the scratch's core (scratch.cyclic + its CSR). Detects whether a
 /// positive-weight cycle exists under `weights` (indexed like
 /// scratch.cyclic) and extracts one into scratch.bf_cycle (original arc
 /// ids, traversal order). Near-linear on the no-positive-cycle case that
@@ -154,23 +154,26 @@ bool is_infeasible_circuit(i64 cost, const Rational& time) {
   return time.sign() < 0 || (time.is_zero() && cost > 0);
 }
 
-/// (Re)derives the scratch's SCC-restricted cyclic core and its CSR
-/// adjacency for `g` (which must be finalized), recording `stamp` as the
-/// warm key so a later stamp-matching solve or positive-cycle check reuses
-/// them. Stamp 0 records nothing: the next call derives cold again.
-void derive_cyclic_core(const Digraph& g, std::uint64_t stamp, McrpScratch& scratch) {
+/// (Re)derives the scratch's core — the arcs a label pass relaxes — and its
+/// CSR adjacency for `g` (which must be finalized). With `scc_filter` it is
+/// the SCC-restricted cyclic core, and `stamp` is recorded as the warm key
+/// so a later stamp-matching solve or positive-cycle check reuses it (stamp
+/// 0 records nothing). Without it the core is every arc (the potentials
+/// pass) and no key is recorded, so no call mistakes it for a cyclic core.
+void derive_core(const Digraph& g, std::uint64_t stamp, McrpScratch& scratch,
+                 bool scc_filter = true) {
   const std::int32_t n = g.node_count();
   scratch.warm_stamp = 0;
   // Circuits live inside strongly connected components; restrict the
   // cycle search to arcs whose endpoints share an SCC.
-  strongly_connected_components(g, scratch.scc, scratch.scc_result);
-  const SccResult& scc = scratch.scc_result;
+  if (scc_filter) strongly_connected_components(g, scratch.scc, scratch.scc_result);
+  const std::vector<std::int32_t>& component = scratch.scc_result.component_of;
   scratch.cyclic.clear();
   const std::span<const Digraph::Arc> all_arcs = g.arcs();
   for (std::int32_t a = 0; a < g.arc_count(); ++a) {
     const auto& e = all_arcs[static_cast<std::size_t>(a)];
-    if (scc.component_of[static_cast<std::size_t>(e.src)] ==
-        scc.component_of[static_cast<std::size_t>(e.dst)]) {
+    if (!scc_filter || component[static_cast<std::size_t>(e.src)] ==
+                           component[static_cast<std::size_t>(e.dst)]) {
       scratch.cyclic.push_back(ArcRef{a, e.src, e.dst});
     }
   }
@@ -178,7 +181,7 @@ void derive_cyclic_core(const Digraph& g, std::uint64_t stamp, McrpScratch& scra
     build_csr_index(n, scratch.cyclic, [](const ArcRef& a) { return a.src; },
                     scratch.out_offsets, scratch.out_ids, scratch.cursor);
   }
-  scratch.warm_stamp = stamp;
+  scratch.warm_stamp = scc_filter ? stamp : 0;
   scratch.warm_nodes = n;
   scratch.warm_arcs = g.arc_count();
 }
@@ -190,6 +193,47 @@ bool core_reusable(const Digraph& g, std::uint64_t stamp, const McrpScratch& scr
          scratch.warm_nodes == g.node_count() && scratch.warm_arcs == g.arc_count();
 }
 
+/// w_λ(e) = L(e) - λ·H(e), the arc weight of the improvement loop and the
+/// potentials.
+Rational ratio_weight(const BivaluedGraph& bg, const Rational& lambda, std::size_t arc) {
+  return Rational(i128{bg.costs()[arc]}, 1) - lambda * bg.times()[arc];
+}
+
+/// The one label pass: bf_positive_cycle over the scratch's core under the
+/// Rational weights `weight(arc id)`, gathered core-indexed into
+/// scratch.weights. Integer first: every weight is scaled by the lcm of
+/// their denominators — a positive factor, so every comparison, parent link
+/// and found circuit is the Rational pass's — and i128 labels are relaxed.
+/// Falls back to Rational labels when the scaling leaves no headroom for
+/// label sums (|label| <= 2(n+1)·max|weight| must stay clear of the i128
+/// range). `*scale` receives the factor, so a label reads back as
+/// int_dist[v] / scale; 0 means Rational labels, in scratch.dist.
+template <typename Weight>
+bool relax_labels(std::int32_t n, McrpScratch& s, const Weight& weight, i128* scale = nullptr) {
+  s.weights.resize(s.cyclic.size());
+  for (std::size_t i = 0; i < s.cyclic.size(); ++i) {
+    s.weights[i] = weight(static_cast<std::size_t>(s.cyclic[i].id));
+  }
+  i128 common = 1;
+  try {
+    for (const Rational& w : s.weights) common = lcm128(common, w.den());
+    s.int_weights.resize(s.weights.size());
+    i128 max_abs = 0;
+    for (std::size_t i = 0; i < s.weights.size(); ++i) {
+      const Rational& w = s.weights[i];
+      s.int_weights[i] = checked_mul(w.num(), common / w.den());
+      max_abs = std::max(max_abs, abs128(s.int_weights[i]));
+    }
+    constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
+    if (max_abs > k_i128_max / (2 * (i128{n} + 1))) throw_overflow("label scale");
+  } catch (const OverflowError&) {
+    common = 0;  // magnitudes too large to scale: exact rationals decide
+  }
+  if (scale != nullptr) *scale = common;
+  return common != 0 ? bf_positive_cycle(n, s.int_weights, s.int_dist, s)
+                     : bf_positive_cycle(n, s.weights, s.dist, s);
+}
+
 /// Both has_positive_cycle overloads: `stamp` keys the cyclic-core reuse
 /// (0 = always derive cold).
 bool positive_cycle(const Digraph& g, std::uint64_t stamp, std::span<const Rational> weights,
@@ -198,42 +242,9 @@ bool positive_cycle(const Digraph& g, std::uint64_t stamp, std::span<const Ratio
   if (weights.size() != static_cast<std::size_t>(g.arc_count())) {
     throw SolverError("has_positive_cycle: one weight per arc required");
   }
-  if (!core_reusable(g, stamp, scratch)) derive_cyclic_core(g, stamp, scratch);
+  if (!core_reusable(g, stamp, scratch)) derive_core(g, stamp, scratch);
   if (scratch.cyclic.empty()) return false;
-  const std::int32_t n = g.node_count();
-
-  // Integer fast path: scale every cyclic weight by the lcm of their
-  // denominators — a positive factor, so every cycle's weight keeps its
-  // sign and positive-cycle existence is unchanged — then relax plain i128
-  // labels. Bails to Rational labels when the common denominator or the
-  // scaled magnitudes leave no headroom for label sums
-  // (|label| <= 2(n+1)·max|weight| must stay clear of the i128 range).
-  try {
-    i128 common = 1;
-    for (const McrpScratch::ArcRef& a : scratch.cyclic) {
-      common = lcm128(common, weights[static_cast<std::size_t>(a.id)].den());
-    }
-    auto& iw = scratch.int_weights;
-    iw.resize(scratch.cyclic.size());
-    i128 max_abs = 0;
-    for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-      const Rational& w = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
-      iw[i] = checked_mul(w.num(), common / w.den());
-      max_abs = std::max(max_abs, abs128(iw[i]));
-    }
-    constexpr i128 k_i128_max = static_cast<i128>((~static_cast<unsigned __int128>(0)) >> 1);
-    if (max_abs > k_i128_max / (2 * (i128{n} + 1))) throw_overflow("has_positive_cycle scale");
-    return bf_positive_cycle(n, scratch.int_weights, scratch.int_dist, scratch);
-  } catch (const OverflowError&) {
-    // Magnitudes too large to scale: fall through to exact rationals.
-  }
-
-  auto& we = scratch.weights;
-  we.resize(scratch.cyclic.size());
-  for (std::size_t i = 0; i < scratch.cyclic.size(); ++i) {
-    we[i] = weights[static_cast<std::size_t>(scratch.cyclic[i].id)];
-  }
-  return bf_positive_cycle(n, scratch.weights, scratch.dist, scratch);
+  return relax_labels(g.node_count(), scratch, [&](std::size_t arc) { return weights[arc]; });
 }
 
 }  // namespace
@@ -258,7 +269,6 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
   g.finalize();
-  const std::span<const i64> costs = bg.costs();
   const std::span<const Rational> times = bg.times();
 
   // The cyclic core and its CSR depend only on topology, which the layout
@@ -268,7 +278,7 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
   // after a cold derivation so a later warm call can reuse it.
   const std::uint64_t stamp = bg.layout_stamp();
   const bool reuse_core = options.howard_warm_start && core_reusable(g, stamp, scratch);
-  if (!reuse_core) derive_cyclic_core(g, stamp, scratch);
+  if (!reuse_core) derive_core(g, stamp, scratch);
   auto& cyclic = scratch.cyclic;
 
   Rational lambda{0};
@@ -318,15 +328,9 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     }
 
     // ---- exact phase: the result is determined here ------------------------
-    auto& we = scratch.weights;
-    we.resize(cyclic.size());
+    const auto w_lambda = [&](std::size_t arc) { return ratio_weight(bg, lambda, arc); };
     for (int iter = 0;; ++iter) {
-      for (std::size_t i = 0; i < cyclic.size(); ++i) {
-        const std::int32_t id = cyclic[i].id;
-        we[i] = Rational(i128{costs[static_cast<std::size_t>(id)]}, 1) -
-                lambda * times[static_cast<std::size_t>(id)];
-      }
-      if (!bf_positive_cycle(n, we, scratch.dist, scratch)) break;
+      if (!relax_labels(n, scratch, w_lambda)) break;
       i64 lc = 0;
       Rational hc;
       exact_cycle_ratio(scratch.bf_cycle, lc, hc);
@@ -358,19 +362,13 @@ void solve_max_cycle_ratio(const BivaluedGraph& bg, const McrpOptions& options,
     // them with weights -H. Also try to surface a zero-ratio critical
     // circuit (weights +H) so callers can run the optimality test.
     if (lambda.is_zero()) {
-      for (std::size_t i = 0; i < cyclic.size(); ++i) {
-        we[i] = -times[static_cast<std::size_t>(cyclic[i].id)];
-      }
-      if (bf_positive_cycle(n, we, scratch.dist, scratch)) {
+      if (relax_labels(n, scratch, [&](std::size_t arc) { return -times[arc]; })) {
         out.status = McrpStatus::Infeasible;
         out.critical_cycle.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         return;
       }
       if (critical.empty()) {
-        for (std::size_t i = 0; i < cyclic.size(); ++i) {
-          we[i] = times[static_cast<std::size_t>(cyclic[i].id)];
-        }
-        if (bf_positive_cycle(n, we, scratch.dist, scratch)) {
+        if (relax_labels(n, scratch, [&](std::size_t arc) { return times[arc]; })) {
           critical.assign(scratch.bf_cycle.begin(), scratch.bf_cycle.end());
         }
       }
@@ -405,35 +403,18 @@ void compute_mcrp_potentials(const BivaluedGraph& bg, const Rational& lambda,
   const Digraph& g = bg.graph();
   const std::int32_t n = g.node_count();
   g.finalize();
-  const std::span<const i64> costs = bg.costs();
-  const std::span<const Rational> times = bg.times();
   out.assign(static_cast<std::size_t>(n), Rational{0});
-  // Worklist longest-path relaxation over *all* arcs (converges: no
-  // positive circuit exists at λ).
-  scratch.queued.assign(static_cast<std::size_t>(n), 1);
-  RingQueue queue(scratch.ring, n);
-  for (std::int32_t v = 0; v < n; ++v) queue.push(v);
-  const i128 guard_limit = checked_mul(i128{n} + 1, i128{g.arc_count()} + 1);
-  i128 guard = 0;
-  while (!queue.empty()) {
-    const std::int32_t u = queue.pop();
-    scratch.queued[static_cast<std::size_t>(u)] = 0;
-    for (const std::int32_t a : g.out_span(u)) {
-      if (++guard > guard_limit) {
-        throw SolverError("potential relaxation did not converge (invariant breach)");
-      }
-      const std::int32_t v = g.arc_unchecked(a).dst;
-      Rational cand = out[static_cast<std::size_t>(u)] +
-                      Rational(i128{costs[static_cast<std::size_t>(a)]}, 1) -
-                      lambda * times[static_cast<std::size_t>(a)];
-      if (cand > out[static_cast<std::size_t>(v)]) {
-        out[static_cast<std::size_t>(v)] = std::move(cand);
-        if (!scratch.queued[static_cast<std::size_t>(v)]) {
-          scratch.queued[static_cast<std::size_t>(v)] = 1;
-          queue.push(v);
-        }
-      }
-    }
+  // The kernel's zero-source labels over *all* arcs: their least fixed
+  // point is unique, so it does not depend on the relaxation order.
+  derive_core(g, 0, scratch, /*scc_filter=*/false);
+  if (scratch.cyclic.empty()) return;
+  i128 scale = 0;
+  if (relax_labels(n, scratch, [&](std::size_t arc) { return ratio_weight(bg, lambda, arc); },
+                   &scale)) {
+    throw SolverError("potentials: a circuit is positive at lambda (below the max cycle ratio)");
+  }
+  for (std::size_t v = 0; v < out.size(); ++v) {
+    out[v] = scale != 0 ? Rational(scratch.int_dist[v], scale) : scratch.dist[v];
   }
 }
 

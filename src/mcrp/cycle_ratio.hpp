@@ -3,8 +3,7 @@
 // Algorithm: candidate-circuit improvement. Maintain a lower bound λ (the
 // exact ratio of the best circuit found so far, initially 0). At each step
 // search for a circuit with positive weight under w_λ(e) = L(e) - λ·H(e)
-// (Bellman–Ford positive-cycle detection, the relaxation shared with
-// has_positive_cycle below). A found circuit either improves
+// (Bellman–Ford positive-cycle detection). A found circuit either improves
 // λ to its exact ratio, or — when H(c) <= 0 — witnesses that no positive
 // period satisfies the constraint system (Infeasible). When no positive
 // circuit remains, λ is the exact optimum and the last improving circuit is
@@ -16,6 +15,15 @@
 // improvement with floating-point labels to skip most exact iterations;
 // the exact phase always has the last word, so the result is exact
 // regardless of floating-point behaviour.
+//
+// One relaxation kernel does all exact work: the improvement loop, the
+// λ = 0 probes, the schedule potentials (compute_mcrp_potentials) and
+// has_positive_cycle (region certification, the scenario combine). It is
+// integer first: the pass's Rational weights are scaled by the lcm of their
+// denominators and relaxed as i128 labels, a positive factor that leaves
+// every comparison, found circuit and label unchanged. Only weights whose
+// common denominator or scaled magnitudes leave no i128 headroom fall back
+// to Rational labels.
 //
 // The scratch-based overload reuses every internal buffer (SCC state,
 // Howard state, relaxation labels, queues, cycle extraction) and the result
@@ -107,8 +115,10 @@ struct McrpScratch {
   std::vector<std::int32_t> out_ids;
   std::vector<std::int32_t> cursor;
 
-  // Bellman–Ford relaxation state. int_weights/int_dist serve the
-  // common-denominator integer fast path of has_positive_cycle.
+  // Relaxation state of the one label kernel. `weights` holds the pass's
+  // core-indexed Rational weights; int_weights/int_dist are their scaled
+  // i128 copies and labels (the integer-first path every pass tries), and
+  // `dist` the Rational labels of the fallback.
   std::vector<Rational> dist;
   std::vector<i128> int_weights;
   std::vector<i128> int_dist;
@@ -149,15 +159,11 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
 /// rational `weights` (one entry per arc id). On a true return
 /// scratch.bf_cycle holds one such circuit's arc ids in traversal order.
 ///
-/// This is the one exact positive-cycle routine: a single SPFA relaxation
-/// over the SCC-restricted cyclic core serves the exact phase of
-/// solve_max_cycle_ratio, region certification (core/regions.hpp: no
-/// circuit beats λ along a parameter ray iff none is positive under
+/// Runs the one relaxation kernel (see the header comment) over the
+/// SCC-restricted cyclic core, for region certification (core/regions.hpp:
+/// no circuit beats λ along a parameter ray iff none is positive under
 /// w(e) = L(e) - λ·H(e)) and the scenario combine (scenario/scenario.hpp:
-/// cycle-cancelling on value - λ·transit). When the weights admit a common
-/// denominator with i128 headroom (the usual case), the relaxation runs on
-/// scaled integer labels — same verdict, no per-step rational
-/// normalization — and falls back to Rational labels otherwise.
+/// cycle-cancelling on value - λ·transit).
 ///
 /// This overload reuses the scratch's cyclic core and CSR adjacency when
 /// the graph's layout stamp matches what the scratch last derived (any
@@ -171,10 +177,13 @@ void solve_max_cycle_ratio(const BivaluedGraph& g, const McrpOptions& options,
                                       McrpScratch& scratch);
 
 /// Just the potentials relaxation at a given λ (the pass solve_… performs
-/// when compute_potentials is set). Precondition: no circuit of `g` has
-/// positive weight under w_λ — i.e. λ is (at least) the max cycle ratio.
-/// Lets a caller that already solved without potentials extract start times
-/// later without re-running the improvement loop.
+/// when compute_potentials is set): the kernel's zero-source labels under
+/// w_λ over every arc of `g` — the unique least fixed point, whatever the
+/// relaxation order. Throws SolverError if some circuit is positive under
+/// w_λ, i.e. λ is below the max cycle ratio. The next stamp-matched solve or
+/// has_positive_cycle on this scratch re-derives its cyclic core. Lets a
+/// caller that already solved without potentials extract start times later
+/// without re-running the improvement loop.
 void compute_mcrp_potentials(const BivaluedGraph& g, const Rational& lambda,
                              McrpScratch& scratch, std::vector<Rational>& out);
 

@@ -1,10 +1,13 @@
 // Tests for the MCRP solvers: the exact cycle-ratio engine, Howard's
 // policy iteration and Karp's max cycle mean, cross-checked on random
-// instances, and the exact positive-cycle kernel (has_positive_cycle)
-// against the optimal ratio and brute-force cycle enumeration.
+// instances; the exact positive-cycle kernel (has_positive_cycle) against
+// the optimal ratio and brute-force cycle enumeration, on integer and
+// Rational labels; and the schedule potentials against the Rational
+// worklist relaxation they replaced, bit for bit.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
 #include <optional>
 #include <vector>
 
@@ -376,16 +379,34 @@ std::optional<Rational> brute_max_cycle_weight(const Digraph& g, const std::vect
   return best;
 }
 
+/// The first `count` (at most 16) primes above 2^25, shuffled by `rng`.
+std::vector<i64> shuffled_large_primes(Rng& rng, std::size_t count) {
+  static const std::vector<i64> first = [] {
+    std::vector<i64> out;
+    for (i64 c = (i64{1} << 25) + 1; out.size() < 16; c += 2) {
+      bool prime = true;
+      for (i64 f = 3; f * f <= c && prime; f += 2) prime = c % f != 0;
+      if (prime) out.push_back(c);
+    }
+    return out;
+  }();
+  std::vector<i64> primes(first.begin(), first.begin() + static_cast<std::ptrdiff_t>(count));
+  for (std::size_t i = primes.size() - 1; i > 0; --i) {
+    std::swap(primes[i], primes[static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(i)))]);
+  }
+  return primes;
+}
+
+/// Throws OverflowError iff the weights' common denominator leaves i128.
+void common_denominator(const std::vector<Rational>& w) {
+  i128 common = 1;
+  for (const Rational& x : w) common = lcm128(common, x.den());
+}
+
 TEST(PositiveCycle, RationalFallbackMatchesBruteForce) {
   // Weights r/p with a distinct prime p > 2^25 per arc: with >= 6 arcs in
   // the one SCC the common denominator exceeds 2^150, so the scaled-i128
   // path cannot run and the Rational labels decide.
-  std::vector<i64> primes;
-  for (i64 c = (i64{1} << 25) + 1; primes.size() < 10; c += 2) {
-    bool prime = true;
-    for (i64 f = 3; f * f <= c && prime; f += 2) prime = c % f != 0;
-    if (prime) primes.push_back(c);
-  }
   Rng rng(2718);
   int positive = 0;
   for (int round = 0; round < 500; ++round) {
@@ -396,21 +417,13 @@ TEST(PositiveCycle, RationalFallbackMatchesBruteForce) {
       g.add_arc(static_cast<std::int32_t>(rng.uniform(0, 3)),
                 static_cast<std::int32_t>(rng.uniform(0, 3)), 0, Rational{1});
     }
-    std::vector<i64> dens = primes;
-    for (std::size_t i = dens.size() - 1; i > 0; --i) {
-      std::swap(dens[i], dens[static_cast<std::size_t>(rng.uniform(0, static_cast<i64>(i)))]);
-    }
+    const std::vector<i64> dens = shuffled_large_primes(rng, 10);
     std::vector<Rational> w;
     for (std::int32_t a = 0; a < g.arc_count(); ++a) {
       const i64 p = dens[static_cast<std::size_t>(a)];
       w.push_back(Rational::of(rng.uniform(-2 * p, p), p));
     }
-    EXPECT_THROW(
-        {
-          i128 common = 1;
-          for (const Rational& x : w) common = lcm128(common, x.den());
-        },
-        OverflowError);
+    EXPECT_THROW(common_denominator(w), OverflowError);
 
     const std::optional<Rational> best = brute_max_cycle_weight(g.graph(), w);
     ASSERT_TRUE(best.has_value());  // the ring is a cycle
@@ -425,6 +438,261 @@ TEST(PositiveCycle, RationalFallbackMatchesBruteForce) {
   // Both verdicts were exercised.
   EXPECT_GT(positive, 50);
   EXPECT_LT(positive, 450);
+}
+
+/// The Rational worklist relaxation that compute_mcrp_potentials ran before
+/// it moved onto the shared label kernel, kept as the reference: zero-source
+/// longest paths over every arc under L - λ·H. Throws SolverError when a
+/// positive circuit keeps it from converging.
+std::vector<Rational> reference_potentials(const BivaluedGraph& bg, const Rational& lambda) {
+  const Digraph& g = bg.graph();
+  const auto n = static_cast<std::size_t>(g.node_count());
+  std::vector<Rational> out(n, Rational{0});
+  std::vector<std::int8_t> queued(n, 1);
+  std::deque<std::int32_t> queue;
+  for (std::int32_t v = 0; v < g.node_count(); ++v) queue.push_back(v);
+  const i128 guard_limit = (i128{g.node_count()} + 1) * (i128{g.arc_count()} + 1);
+  i128 guard = 0;
+  while (!queue.empty()) {
+    const std::int32_t u = queue.front();
+    queue.pop_front();
+    queued[static_cast<std::size_t>(u)] = 0;
+    for (const std::int32_t a : g.out_arcs(u)) {
+      if (++guard > guard_limit) throw SolverError("reference potentials did not converge");
+      const auto v = static_cast<std::size_t>(g.arc(a).dst);
+      Rational cand = out[static_cast<std::size_t>(u)] + Rational{bg.cost(a)} - lambda * bg.time(a);
+      if (cand > out[v]) {
+        out[v] = std::move(cand);
+        if (!queued[v]) {
+          queued[v] = 1;
+          queue.push_back(static_cast<std::int32_t>(v));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+/// Bit-for-bit label identity: numerator and denominator of every entry.
+void expect_same_labels(const std::vector<Rational>& got, const std::vector<Rational>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t v = 0; v < got.size(); ++v) {
+    EXPECT_TRUE(got[v].num() == want[v].num() && got[v].den() == want[v].den())
+        << "node " << v << ": " << got[v] << " vs " << want[v];
+  }
+}
+
+/// Both potentials entry points against the reference at the solved ratio:
+/// the solve's own pass, and a standalone pass on a fresh scratch.
+void expect_reference_potentials(const BivaluedGraph& g, const McrpResult& r) {
+  const std::vector<Rational> want = reference_potentials(g, r.ratio);
+  expect_same_labels(r.potentials, want);
+  McrpScratch scratch;
+  std::vector<Rational> standalone;
+  compute_mcrp_potentials(g, r.ratio, scratch, standalone);
+  expect_same_labels(standalone, want);
+}
+
+/// Ring 0 -> 1 -> ... -> n-1 -> 0 of unit-H arcs plus random integer-H
+/// chords, so λ* >= 1, and 6..8 zero-cost self-loops whose H denominators
+/// are distinct primes above 2^25. At any λ > 0 each loop weighs -λ·H < 0
+/// and keeps its prime, so the common denominator of the weights L - λ·H
+/// exceeds 2^150 and the Rational labels decide; a negative loop never
+/// raises a label, so no label sums two primes and none leaves i128.
+BivaluedGraph prime_loop_graph(Rng& rng) {
+  const std::int32_t n = 4;
+  BivaluedGraph g(n);
+  for (std::int32_t v = 0; v < n; ++v) g.add_arc(v, (v + 1) % n, rng.uniform(1, 20), Rational{1});
+  const i64 chords = rng.uniform(0, 3);
+  for (i64 i = 0; i < chords; ++i) {
+    g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
+              static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(0, 20),
+              Rational{rng.uniform(1, 3)});
+  }
+  const std::vector<i64> dens = shuffled_large_primes(rng, 8);
+  const i64 loops = rng.uniform(6, 8);
+  for (i64 i = 0; i < loops; ++i) {
+    const i64 p = dens[static_cast<std::size_t>(i)];
+    const auto v = static_cast<std::int32_t>(rng.uniform(0, n - 1));
+    g.add_arc(v, v, 0, Rational::of(p + rng.uniform(1, p - 1), p));
+  }
+  return g;
+}
+
+/// Per-arc weights L - λ·H.
+std::vector<Rational> ratio_weights(const BivaluedGraph& g, const Rational& lambda) {
+  std::vector<Rational> w;
+  for (std::int32_t a = 0; a < g.arc_count(); ++a) {
+    w.push_back(Rational{g.cost(a)} - lambda * g.time(a));
+  }
+  return w;
+}
+
+TEST(Potentials, MatchTheRationalWorklistReference) {
+  Rng rng(8086);
+  // Random cyclic graphs, some costs negative.
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("cyclic round " + std::to_string(round));
+    const auto n = static_cast<std::int32_t>(rng.uniform(2, 16));
+    BivaluedGraph g(n);
+    for (i64 i = 0; i < 3 * n; ++i) {
+      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
+                static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(-3, 12),
+                Rational::of(rng.uniform(1, 8), rng.uniform(1, 5)));
+    }
+    const McrpResult r = solve_max_cycle_ratio(g);
+    ASSERT_EQ(r.status, McrpStatus::Optimal);
+    expect_reference_potentials(g, r);
+  }
+  // Acyclic graphs: NoCycle, potentials are the longest paths under L.
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE("acyclic round " + std::to_string(round));
+    const auto n = static_cast<std::int32_t>(rng.uniform(2, 16));
+    BivaluedGraph g(n);
+    for (i64 i = 0; i < 2 * n; ++i) {
+      const auto u = static_cast<std::int32_t>(rng.uniform(0, n - 2));
+      g.add_arc(u, static_cast<std::int32_t>(rng.uniform(u + 1, n - 1)), rng.uniform(-5, 12),
+                Rational::of(rng.uniform(1, 8), rng.uniform(1, 5)));
+    }
+    const McrpResult r = solve_max_cycle_ratio(g);
+    ASSERT_EQ(r.status, McrpStatus::NoCycle);
+    expect_reference_potentials(g, r);
+  }
+  // Zero-cost circuits (λ = 0) feeding acyclic arcs of positive cost.
+  for (int round = 0; round < 30; ++round) {
+    SCOPED_TRACE("zero-cost round " + std::to_string(round));
+    const auto ring = static_cast<std::int32_t>(rng.uniform(1, 6));
+    const auto n = ring + static_cast<std::int32_t>(rng.uniform(1, 6));
+    BivaluedGraph g(n);
+    for (std::int32_t v = 0; v < ring; ++v) {
+      g.add_arc(v, (v + 1) % ring, 0, Rational::of(rng.uniform(1, 8), rng.uniform(1, 5)));
+    }
+    for (std::int32_t v = ring; v < n; ++v) {
+      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, v - 1)), v, rng.uniform(0, 12),
+                Rational::of(rng.uniform(-3, 8), rng.uniform(1, 5)));
+    }
+    const McrpResult r = solve_max_cycle_ratio(g);
+    ASSERT_EQ(r.status, McrpStatus::Optimal);
+    ASSERT_TRUE(r.ratio.is_zero());
+    EXPECT_FALSE(r.critical_cycle.empty());
+    expect_reference_potentials(g, r);
+  }
+  // Prime-denominator graphs: the Rational fallback relaxes the labels.
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("prime round " + std::to_string(round));
+    const BivaluedGraph g = prime_loop_graph(rng);
+    const McrpResult r = solve_max_cycle_ratio(g);
+    ASSERT_EQ(r.status, McrpStatus::Optimal);
+    EXPECT_THROW(common_denominator(ratio_weights(g, r.ratio)), OverflowError);
+    expect_reference_potentials(g, r);
+  }
+}
+
+TEST(Potentials, LambdaBelowTheOptimumThrows) {
+  Rng rng(6502);
+  int checks = 0;
+  for (int round = 0; round < 40; ++round) {
+    const auto n = static_cast<std::int32_t>(rng.uniform(1, 12));
+    BivaluedGraph g(n);
+    for (i64 i = 0; i < 2 * n + 1; ++i) {
+      g.add_arc(static_cast<std::int32_t>(rng.uniform(0, n - 1)),
+                static_cast<std::int32_t>(rng.uniform(0, n - 1)), rng.uniform(0, 12),
+                Rational::of(rng.uniform(1, 8), rng.uniform(1, 4)));
+    }
+    const BivaluedGraph primed = prime_loop_graph(rng);
+    for (const BivaluedGraph* graph : std::array<const BivaluedGraph*, 2>{&g, &primed}) {
+      const McrpResult r = solve_max_cycle_ratio(*graph);
+      ASSERT_EQ(r.status, McrpStatus::Optimal);
+      const Rational below = r.ratio - Rational::of(1, 7);
+      McrpScratch scratch;
+      std::vector<Rational> potentials;
+      EXPECT_THROW(compute_mcrp_potentials(*graph, below, scratch, potentials), SolverError)
+          << "round " << round;
+      EXPECT_THROW((void)reference_potentials(*graph, below), SolverError) << "round " << round;
+      ++checks;
+    }
+  }
+  EXPECT_EQ(checks, 80);
+}
+
+/// Arc ids of the core a scratch's last label pass relaxed, in core order.
+std::vector<std::int32_t> core_arc_ids(const McrpScratch& scratch) {
+  std::vector<std::int32_t> ids;
+  for (const McrpScratch::ArcRef& a : scratch.cyclic) ids.push_back(a.id);
+  return ids;
+}
+
+TEST(Potentials, PassLeavesNoCoreALaterCallReuses) {
+  // The potentials pass relaxes a core of all arcs. A scratch that just ran
+  // one must answer a later stamp-matched warm solve and a later
+  // has_positive_cycle exactly as a scratch that never ran it: the same
+  // cold-derived SCC core, hence the same circuits and iteration counts.
+  McrpOptions warm;
+  warm.howard_warm_start = true;
+  warm.compute_potentials = false;
+  McrpOptions warm_with_potentials = warm;
+  warm_with_potentials.compute_potentials = true;
+  Rng rng(1729);
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    BivaluedGraph g =
+        random_clustered_bivalued(rng, static_cast<std::int32_t>(rng.uniform(2, 10)), false);
+    McrpScratch ran_potentials;
+    McrpScratch never;
+    McrpResult a;
+    McrpResult b;
+    solve_max_cycle_ratio(g, warm_with_potentials, ran_potentials, a);
+    solve_max_cycle_ratio(g, warm, never, b);
+    ASSERT_EQ(a.status, McrpStatus::Optimal);
+    // Rewrite some L costs: the layout stamp holds, so warm solves may
+    // reuse what the scratch recorded.
+    for (std::int32_t arc = 0; arc < g.arc_count(); ++arc) {
+      if (rng.chance(1, 3)) g.set_cost(arc, rng.uniform(0, 12));
+    }
+    solve_max_cycle_ratio(g, warm, ran_potentials, a);
+    solve_max_cycle_ratio(g, warm, never, b);
+    ASSERT_EQ(a.status, b.status);
+    EXPECT_EQ(core_arc_ids(ran_potentials), core_arc_ids(never));
+    EXPECT_EQ(a.ratio, b.ratio);
+    EXPECT_EQ(a.critical_cycle, b.critical_cycle);
+    EXPECT_EQ(a.iterations, b.iterations);
+    EXPECT_EQ(a.exact_iterations, b.exact_iterations);
+    EXPECT_EQ(a.howard_iterations, b.howard_iterations);
+
+    std::vector<Rational> potentials;
+    compute_mcrp_potentials(g, a.ratio, ran_potentials, potentials);
+    const std::vector<Rational> w = ratio_weights(g, a.ratio - Rational::of(1, 7));
+    McrpScratch fresh;
+    ASSERT_TRUE(has_positive_cycle(g, w, ran_potentials));
+    ASSERT_TRUE(has_positive_cycle(g, w, fresh));
+    EXPECT_EQ(core_arc_ids(ran_potentials), core_arc_ids(fresh));
+    EXPECT_EQ(ran_potentials.bf_cycle, fresh.bf_cycle);
+  }
+}
+
+TEST(CycleRatio, RationalFallbackMatchesBruteForce) {
+  // On the prime-denominator graphs the exact phase runs on Rational
+  // labels; its ratio must be the brute-force maximum — no circuit is
+  // positive under L - λ·H and the best one weighs exactly 0 — and its
+  // critical circuit a closed walk realizing it.
+  Rng rng(1234);
+  for (int round = 0; round < 100; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const BivaluedGraph g = prime_loop_graph(rng);
+    for (const bool accelerate : {true, false}) {
+      McrpOptions options;
+      options.accelerate_with_double = accelerate;
+      const McrpResult r = solve_max_cycle_ratio(g, options);
+      ASSERT_EQ(r.status, McrpStatus::Optimal);
+      const std::vector<Rational> w = ratio_weights(g, r.ratio);
+      EXPECT_THROW(common_denominator(w), OverflowError);
+      const std::optional<Rational> best = brute_max_cycle_weight(g.graph(), w);
+      ASSERT_TRUE(best.has_value());
+      EXPECT_TRUE(best->is_zero()) << *best;
+      EXPECT_EQ(closed_cycle_weight(g.graph(), r.critical_cycle, w), Rational{0});
+      expect_cycle_certifies(g, r);
+    }
+  }
 }
 
 TEST(Howard, SelfLoop) {

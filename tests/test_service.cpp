@@ -585,8 +585,8 @@ TEST(RequestKey, FreshKeyAllocatesOnceAndKeepsItsWords) {
   // [2,3,1] / [2,5]).
   const std::vector<i64> snapshot_words = {2, 3, 2, 1, 1, 1, 1, 1, 1, 0, 1, 0, 2, 3, 1, 2, 5};
   const std::vector<std::pair<Method, std::vector<i64>>> option_words = {
-      {Method::KIter, {0, 1, 0, 1, 0, 1, 1048576, 1, 0, 200000000, 1048576, 0}},
-      {Method::Periodic, {1, 1, 1, 0, 1, 1048576}},
+      {Method::KIter, {0, 1, 0, 1, 0, 1048576, 1, 0, 200000000, 1048576}},
+      {Method::Periodic, {1, 1, 1, 0, 1048576}},
       {Method::SymbolicExecution, {2, 1, 250000, 10000000}},
       {Method::Expansion, {3, 1, 2000000, 20000000}},
   };

@@ -10,6 +10,8 @@
 //   * a capacity-1 cache evicts strict LRU, deterministically;
 //   * wall-clock-racing requests (deadline, cancel token, poll hook, time
 //     budget) are never cached, in either direction;
+//   * options no Analysis field reads (compute_potentials, record_trace)
+//     stay out of the key, so flipping them hits the first solve;
 //   * analyze_batch stays deterministic across thread counts, shard
 //     layouts and cache on/off, with duplicates mixed in so the late-hit
 //     and in-flight-join paths are exercised — single-flight keeps the
@@ -232,6 +234,30 @@ TEST(ServingCache, WallClockAndCancellableRequestsAreNeverCached) {
   EXPECT_EQ(s.cache_misses, 0u);
   EXPECT_EQ(s.cache_size, 0u);
   EXPECT_EQ(s.jobs_executed, 5u);
+}
+
+TEST(ServingCache, OptionsNoAnalysisReadsShareOneEntry) {
+  // McrpOptions::compute_potentials (no runner extracts a schedule) and
+  // KIterOptions::record_trace (run_kiter turns it off) change no Analysis
+  // field, so they stay out of the request key: a request that differs only
+  // in them is a hit on the first one's solve.
+  for (const Method method : {Method::KIter, Method::Periodic}) {
+    SCOPED_TRACE("method " + std::to_string(static_cast<int>(method)));
+    const AnalysisRequest plain{.graph = figure2_graph(), .method = method};
+    AnalysisRequest flipped{.graph = figure2_graph(), .method = method};
+    flipped.options.kiter.mcrp.compute_potentials = !plain.options.kiter.mcrp.compute_potentials;
+    flipped.options.kiter.record_trace = !plain.options.kiter.record_trace;
+    ASSERT_NE(plain.graph.storage_id(), flipped.graph.storage_id());
+
+    ThroughputService service(ServiceOptions{.threads = 1});
+    const Analysis first = service.analyze_batch(std::span(&plain, 1))[0];
+    const Analysis second = service.analyze_batch(std::span(&flipped, 1))[0];
+    expect_identical_analysis(second, first, 1);
+    const ServiceStats s = service.stats();
+    EXPECT_EQ(s.jobs_executed, 1u);
+    EXPECT_EQ(s.cache_misses, 1u);
+    EXPECT_EQ(s.cache_hits, 1u);
+  }
 }
 
 // ---- determinism across threads, shards and cache setting -------------------
